@@ -60,7 +60,7 @@ from repro.aio.loops import install as install_loop_policy
 from repro.aio.loops import uvloop_available
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
-from repro.sim.histogram import LatencyHistogram
+from repro.obs.histogram import LatencyHistogram
 
 DEFAULT_BATCH_SIZES = (4, 16, 64)
 DEFAULT_PIPELINE_DEPTHS = (1, 4)

@@ -55,7 +55,7 @@ from bench_env import (
     scaling_verifiable,
 )
 from repro.shard import ShardRouter, ShardSupervisor
-from repro.sim.histogram import LatencyHistogram
+from repro.obs.histogram import LatencyHistogram
 from repro.workloads import SINGLE_SIZE_WORKLOADS
 
 DEFAULT_SHARD_COUNTS = (1, 2, 4)

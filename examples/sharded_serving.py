@@ -47,7 +47,7 @@ async def mixed_workload(supervisor: ShardSupervisor) -> None:
         # chaos: kill a worker mid-session.  The supervisor respawns it on
         # the SAME port, so the pooled client recovers by plain retry —
         # the cache contents die with the process, connectivity does not.
-        victim = pool.node_for(b"user:0007")
+        victim = pool.group_for(b"user:0007")
         print(f"killing {victim} ...")
         supervisor.kill_worker(victim)
         assert await pool.get(b"user:0007") is None  # fresh, empty shard

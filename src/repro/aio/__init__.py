@@ -16,7 +16,9 @@ callback-driven backpressure):
   future-per-pipeline-slot completion, per-batch timeouts, and retry
   (exponential backoff + jitter) on connect/timeout failures.
 * :class:`AsyncStorePool` — scatter/gather fan-out over a
-  :class:`~repro.cluster.consistent.ConsistentHashRing` of async clients.
+  :class:`~repro.cluster.consistent.ConsistentHashRing` of async clients;
+  the one routed pool (:class:`~repro.replica.pool.GroupPool`) with every
+  client an unreplicated group of one.
 * :func:`run_closed_loop` — a closed-loop YCSB-style load generator
   reporting throughput and p50/p95/p99 latency.
 * :func:`loop_policy` / :func:`install` — optional uvloop acceleration

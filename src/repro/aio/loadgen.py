@@ -8,7 +8,7 @@ to service rate, so the numbers are honest under overload).
 
 Key popularity, per-key cost, and value size all come from
 :mod:`repro.workloads` (the paper's Table 2/3 distributions); latency is
-recorded per batch into :class:`repro.sim.histogram.LatencyHistogram` so
+recorded per batch into :class:`repro.obs.histogram.LatencyHistogram` so
 the report has bounded-error p50/p95/p99 without keeping every sample.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.aio.client import AsyncStoreClient
 from repro.obs.reporter import SnapshotReporter
-from repro.sim.histogram import LatencyHistogram
+from repro.obs.histogram import LatencyHistogram
 from repro.workloads.ycsb import Workload
 
 

@@ -1,435 +1,12 @@
-"""Scatter/gather fan-out over a consistent-hash ring of async clients.
+"""Scatter/gather over a consistent-hash ring of async clients.
 
-:class:`AsyncStorePool` is the async sibling of
-:class:`repro.cluster.pool.StorePool`: the same ketama ring picks the
-owning node per key, but node requests run *concurrently* — a
-``multi_get`` over N nodes costs one slowest-node round trip, not the sum.
-That scatter/gather shape is exactly how memcached web tiers issue the
-hundreds of gets behind one page load.
-
-The pool holds no wire code of its own: every node leg rides
-:class:`AsyncStoreClient`, so the BufferedProtocol transport — tuned
-sockets, future-per-batch completion, single lazy deadline timer — is
-what each fan-out arm actually runs on.
+``AsyncStorePool({node: AsyncStoreClient}, replicas=100, tracer=None)`` is
+the one routed pool, :class:`~repro.replica.pool.GroupPool`, with every
+client a group of one that it calls directly.  Node requests run
+concurrently: a ``multi_get`` over N nodes costs one slowest-node round
+trip, not the sum.
 """
 
-from __future__ import annotations
+from repro.replica.pool import GroupPool
 
-import asyncio
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.aio.client import AsyncStoreClient
-from repro.cluster.consistent import ConsistentHashRing
-from repro.obs import tracing
-from repro.obs.aggregate import sum_numeric_stats
-from repro.obs.trace import key_fingerprint
-
-
-class MultiGetResult(Dict[bytes, bytes]):
-    """A ``multi_get`` result: the merged hits, plus per-key attribution.
-
-    Behaves exactly like the plain ``{key: value}`` dict older callers
-    expect.  :attr:`errors` adds the partial-failure attribution: for
-    every key whose owning node's request failed, the exception that
-    killed that node's batch — so a caller can distinguish "miss" (absent
-    from both) from "unknown, the shard was down" (present in
-    :attr:`errors`) and retry exactly the affected keys.
-    """
-
-    __slots__ = ("errors",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: key -> the exception its owning node's request raised
-        self.errors: Dict[bytes, BaseException] = {}
-
-    @property
-    def complete(self) -> bool:
-        """True when every key was actually answered by a live node."""
-        return not self.errors
-
-
-class AsyncStorePool:
-    """One logical cache over many async clients behind a hash ring.
-
-    Args:
-        clients: node name -> connected :class:`AsyncStoreClient`.
-        replicas: virtual ring points per node (ketama-style).
-        tracer: optional :class:`~repro.obs.tracing.Tracer`.  The pool is
-            then the root sampler: sampled routed ops open a
-            ``client.request`` root plus per-node ``router.route`` spans,
-            under which each node's client records its own hop spans.
-            Unsampled ops run with sampling *suppressed* downstream, so a
-            client sharing the tracer never re-rolls the decision.
-    """
-
-    def __init__(
-        self,
-        clients: Dict[str, AsyncStoreClient],
-        replicas: int = 100,
-        tracer: Optional["tracing.Tracer"] = None,
-        read_fallback: bool = False,
-    ) -> None:
-        if not clients:
-            raise ValueError("a pool needs at least one client")
-        self._clients = dict(clients)
-        self._ring = ConsistentHashRing(list(clients), replicas=replicas)
-        self.tracer = tracer
-        #: when True, ``multi_get`` re-issues keys owned by a failed or
-        #: breaker-open node to the next *healthy* ring node instead of
-        #: burning the dead node's retry budget (see :meth:`multi_get`)
-        self.read_fallback = read_fallback
-        #: per-node operation counters, for balance diagnostics
-        self.node_ops: Dict[str, int] = {name: 0 for name in clients}
-        #: per-node failed fan-out requests (multi_get partial accounting)
-        self.node_failures: Dict[str, int] = {}
-        #: fan-out legs redirected to a fallback node (read_fallback only)
-        self.node_fallbacks: Dict[str, int] = {}
-
-    @property
-    def breakers(self) -> Dict[str, object]:
-        """Per-node circuit breakers for clients that carry one."""
-        return {
-            name: client.breaker
-            for name, client in self._clients.items()
-            if client.breaker is not None
-        }
-
-    @property
-    def clients(self) -> Dict[str, AsyncStoreClient]:
-        return dict(self._clients)
-
-    @property
-    def batch_support(self) -> Dict[str, Optional[bool]]:
-        """Negotiated MGET/MSET support per node.
-
-        ``None`` = not probed yet, ``True``/``False`` once the node's
-        client has negotiated (the outcome is cached on the client, so a
-        mixed-version fleet settles after one probe per node).
-        """
-        return {
-            name: client.batch_supported
-            for name, client in self._clients.items()
-        }
-
-    def node_for(self, key: bytes) -> str:
-        node = self._ring.node_for(key)
-        assert node is not None
-        return node
-
-    def client_for(self, key: bytes) -> AsyncStoreClient:
-        return self._clients[self.node_for(key)]
-
-    def group_by_node(self, keys: Sequence[bytes]) -> Dict[str, List[bytes]]:
-        """Partition ``keys`` by owning node, preserving per-node order."""
-        grouped: Dict[str, List[bytes]] = {}
-        for key in keys:
-            grouped.setdefault(self.node_for(key), []).append(key)
-        return grouped
-
-    def _breaker_open(self, node: str) -> bool:
-        """Is ``node``'s breaker hard-open right now?
-
-        Reads ``.state`` rather than calling ``allow()`` — ``allow()``
-        consumes half-open probe budget, and a routing *pre-check* must
-        never eat the probe that would have closed the breaker.
-        """
-        breaker = self._clients[node].breaker
-        return breaker is not None and breaker.state == "open"
-
-    def fallback_node(self, key: bytes, exclude) -> Optional[str]:
-        """The first healthy non-excluded node on ``key``'s ring walk.
-
-        Healthy = breaker not hard-open.  Returns ``None`` when every
-        other node is excluded or open (the caller then sticks with the
-        original owner — failing there beats failing nowhere).
-        """
-        for node in self._ring.nodes_for(key):
-            if node in exclude or self._breaker_open(node):
-                continue
-            return node
-        return None
-
-    # -- single-key ops (routed) -----------------------------------------------
-
-    async def _routed(self, op: str, key: bytes, node: str, call):
-        """Run one routed op under the pool's root + route spans.
-
-        Only reached when :attr:`tracer` is set.  An unsampled op costs
-        one counter bump plus a suppressed-context set/reset; the node's
-        client (sharing the tracer) still force-samples it if it turns
-        out slow or shed.
-        """
-        tracer = self.tracer
-        if not tracer.sample():
-            token = tracing.suppress()
-            try:
-                return await call()
-            finally:
-                tracing.deactivate(token)
-        root = tracer.start_span(
-            "client.request", op=op, key_fp=key_fingerprint(key)
-        )
-        root_token = tracing.activate(root)
-        try:
-            route = tracer.start_span("router.route", parent=root, shard=node)
-            route_token = tracing.activate(route)
-            try:
-                return await call()
-            finally:
-                tracing.deactivate(route_token)
-                tracer.end(route)
-        finally:
-            tracing.deactivate(root_token)
-            tracer.end(root)
-
-    async def get(self, key: bytes) -> Optional[bytes]:
-        node = self.node_for(key)
-        self.node_ops[node] += 1
-        if self.tracer is None:
-            return await self._clients[node].get(key)
-        return await self._routed(
-            "get", key, node, lambda: self._clients[node].get(key)
-        )
-
-    async def set(self, key: bytes, value: bytes, cost: int = 0,
-                  exptime: float = 0) -> bool:
-        node = self.node_for(key)
-        self.node_ops[node] += 1
-        if self.tracer is None:
-            return await self._clients[node].set(
-                key, value, cost=cost, exptime=exptime
-            )
-        return await self._routed(
-            "set", key, node,
-            lambda: self._clients[node].set(key, value, cost=cost,
-                                            exptime=exptime),
-        )
-
-    async def delete(self, key: bytes) -> bool:
-        node = self.node_for(key)
-        self.node_ops[node] += 1
-        if self.tracer is None:
-            return await self._clients[node].delete(key)
-        return await self._routed(
-            "delete", key, node, lambda: self._clients[node].delete(key)
-        )
-
-    # -- scatter/gather --------------------------------------------------------
-
-    async def multi_get(
-        self, keys: Sequence[bytes], partial: bool = False
-    ) -> MultiGetResult:
-        """Concurrent multi-key GET: group per node, fan out, merge.
-
-        Each node receives exactly **one** MGET frame carrying all its
-        keys (the client negotiates a per-key fallback against old
-        servers); the node requests run concurrently under
-        ``asyncio.gather``.
-
-        Partial-failure contract: by default a node whose request fails
-        (after the client's own retries, or fast via an open circuit
-        breaker) makes the *whole* call raise that node's error — but only
-        after every other node's request has completed, so no fan-out task
-        is left running.  With ``partial=True`` the call instead returns a
-        :class:`MultiGetResult`: the merged hits from the live nodes, and
-        — the per-key attribution the old all-or-nothing shape lost —
-        ``result.errors[key]`` holding the failed node's exception for
-        every key that node owned, so "miss" and "shard down" are
-        distinguishable and callers can retry exactly the affected keys.
-        Per-node failures are also tallied in :attr:`node_failures`.
-        Breaker short-circuiting preserves both shapes — it only changes
-        how fast the dead node's error arrives.
-
-        With ``read_fallback=True`` the pool routes around trouble
-        instead: keys owned by a node whose breaker is already open are
-        sent straight to the next healthy ring node (no retry budget is
-        spent dialing a node known to be dead), and keys whose owner
-        failed this call get one fallback round on a different healthy
-        node before the error is surfaced.  Without replication the
-        fallback node answers a miss for data it never held — an
-        acceptable degraded answer for a cache, and the exact read path
-        replica groups make lossless.
-        """
-        grouped = self.group_by_node(keys)
-        if not grouped:
-            return MultiGetResult()
-        if self.read_fallback:
-            grouped = self._redirect_open_breakers(grouped)
-        nodes = list(grouped)
-        tracer = self.tracer
-        root = None
-        context_token = None
-        if tracer is not None:
-            if tracer.sample():
-                root = tracer.start_span(
-                    "client.request", op="multi_get",
-                    nkeys=len(keys), nodes=len(nodes),
-                )
-                context_token = tracing.activate(root)
-            else:
-                context_token = tracing.suppress()
-        try:
-            if root is None:
-                results = await asyncio.gather(
-                    *(self._clients[node].get_many(grouped[node])
-                      for node in nodes),
-                    return_exceptions=True,
-                )
-            else:
-                # each fan-out leg activates its own route span inside its
-                # task, so concurrent legs nest correctly under one root
-                results = await asyncio.gather(
-                    *(self._traced_get_many(tracer, root, node, grouped[node])
-                      for node in nodes),
-                    return_exceptions=True,
-                )
-        finally:
-            if context_token is not None:
-                tracing.deactivate(context_token)
-            if root is not None:
-                tracer.end(root)
-        merged = MultiGetResult()
-        first_error: Optional[BaseException] = None
-        failed_nodes = set()
-        for node, found in zip(nodes, results):
-            self.node_ops[node] += 1
-            if isinstance(found, BaseException):
-                self.node_failures[node] = self.node_failures.get(node, 0) + 1
-                failed_nodes.add(node)
-                for key in grouped[node]:
-                    merged.errors[key] = found
-                if first_error is None:
-                    first_error = found
-                continue
-            merged.update(found)
-        if self.read_fallback and merged.errors:
-            await self._fallback_round(merged, failed_nodes)
-            first_error = next(iter(merged.errors.values()), None)
-        if first_error is not None and not partial:
-            raise first_error
-        return merged
-
-    def _redirect_open_breakers(
-        self, grouped: Dict[str, List[bytes]]
-    ) -> Dict[str, List[bytes]]:
-        """Reroute keys owned by hard-open-breaker nodes before fan-out.
-
-        A node the breaker already condemned gets no traffic at all this
-        call — its keys ride the next healthy node's MGET frame instead
-        (tallied in :attr:`node_fallbacks`).  When every node is open the
-        original grouping stands, so the caller still gets a fast
-        :class:`~repro.resilience.BreakerOpenError` rather than nothing.
-        """
-        open_nodes = {node for node in grouped if self._breaker_open(node)}
-        if not open_nodes or len(open_nodes) == len(self._clients):
-            return grouped
-        regrouped: Dict[str, List[bytes]] = {}
-        for node, node_keys in grouped.items():
-            if node not in open_nodes:
-                regrouped.setdefault(node, []).extend(node_keys)
-                continue
-            for key in node_keys:
-                alt = self.fallback_node(key, open_nodes)
-                target = alt if alt is not None else node
-                if alt is not None:
-                    self.node_fallbacks[node] = (
-                        self.node_fallbacks.get(node, 0) + 1
-                    )
-                regrouped.setdefault(target, []).append(key)
-        return regrouped
-
-    async def _fallback_round(self, merged: MultiGetResult, failed_nodes) -> None:
-        """One retry round for failed keys, on different healthy nodes.
-
-        Successful keys drop out of ``merged.errors``; keys whose
-        fallback also failed keep their *original* error attribution.
-        """
-        retry_groups: Dict[str, List[bytes]] = {}
-        for key in merged.errors:
-            alt = self.fallback_node(key, failed_nodes)
-            if alt is not None:
-                retry_groups.setdefault(alt, []).append(key)
-        if not retry_groups:
-            return
-        alt_nodes = list(retry_groups)
-        results = await asyncio.gather(
-            *(self._clients[node].get_many(retry_groups[node])
-              for node in alt_nodes),
-            return_exceptions=True,
-        )
-        for node, found in zip(alt_nodes, results):
-            self.node_ops[node] += 1
-            if isinstance(found, BaseException):
-                continue
-            for key in retry_groups[node]:
-                merged.errors.pop(key, None)
-            self.node_fallbacks[node] = (
-                self.node_fallbacks.get(node, 0) + len(retry_groups[node])
-            )
-            merged.update(found)
-
-    async def _traced_get_many(self, tracer, root, node: str, keys):
-        """One sampled fan-out leg: a ``router.route`` span around the
-        node's pipelined GET (the node's client hops nest beneath it)."""
-        route = tracer.start_span(
-            "router.route", parent=root, shard=node, nkeys=len(keys)
-        )
-        token = tracing.activate(route)
-        try:
-            return await self._clients[node].get_many(keys)
-        finally:
-            tracing.deactivate(token)
-            tracer.end(route)
-
-    async def multi_set(
-        self, items: Sequence[Tuple[bytes, bytes, int]], exptime: float = 0
-    ) -> int:
-        """Concurrent pipelined SETs of (key, value, cost); returns #stored."""
-        grouped: Dict[str, List[Tuple[bytes, bytes, int]]] = {}
-        for item in items:
-            grouped.setdefault(self.node_for(item[0]), []).append(item)
-        if not grouped:
-            return 0
-        nodes = list(grouped)
-        counts = await asyncio.gather(
-            *(self._clients[node].set_many(grouped[node], exptime=exptime)
-              for node in nodes)
-        )
-        for node in nodes:
-            self.node_ops[node] += 1
-        return sum(counts)
-
-    # -- fleet management ------------------------------------------------------
-
-    async def aggregate_stats(self) -> Dict[str, int]:
-        """Summed numeric server stats across every node (concurrently).
-
-        Merging lives in :func:`repro.obs.aggregate.sum_numeric_stats`, the
-        same helper the shard supervisor uses for its fleet view.
-        """
-        nodes = list(self._clients)
-        snapshots = await asyncio.gather(
-            *(self._clients[node].stats() for node in nodes)
-        )
-        return sum_numeric_stats(snapshots)
-
-    async def per_node_stats(self) -> Dict[str, Dict[str, str]]:
-        """Raw server stats per node, gathered concurrently."""
-        nodes = list(self._clients)
-        snapshots = await asyncio.gather(
-            *(self._clients[node].stats() for node in nodes)
-        )
-        return dict(zip(nodes, snapshots))
-
-    async def flush_all(self) -> None:
-        await asyncio.gather(*(c.flush_all() for c in self._clients.values()))
-
-    async def aclose(self) -> None:
-        await asyncio.gather(*(c.aclose() for c in self._clients.values()))
-
-    async def __aenter__(self) -> "AsyncStorePool":
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.aclose()
+AsyncStorePool = GroupPool

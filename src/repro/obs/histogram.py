@@ -9,12 +9,12 @@ configurable worst-case relative error at O(1) record cost and O(buckets)
 memory, independent of the sample count.
 
 :class:`BoundedHistogram` is the one histogram implementation in the repo:
-the simulation harness records request latencies into it (as
-``repro.sim.histogram.LatencyHistogram``, a backwards-compatible alias),
-and the :mod:`repro.obs` metrics registry wraps it for live per-command
-latency series.  It is interchangeable with exact percentiles for
-validation (the tests check the error bound against numpy's exact
-percentile).
+the simulation harness and the async load generator record request
+latencies into it under its ``LatencyHistogram`` alias (defined at the
+bottom of this module), and the :mod:`repro.obs` metrics registry wraps
+it for live per-command latency series.  It is interchangeable with exact
+percentiles for validation (the tests check the error bound against
+numpy's exact percentile).
 """
 
 from __future__ import annotations
@@ -231,5 +231,5 @@ class BoundedHistogram:
         return out
 
 
-#: Backwards-compatible name — the histogram began life in ``repro.sim``.
+#: The name latency recorders use (the simulator, the load generator).
 LatencyHistogram = BoundedHistogram

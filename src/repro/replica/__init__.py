@@ -4,16 +4,17 @@ A single-copy shard that dies loses its keyspace until clients repopulate
 it; under GD-Wheel's cost model that is not a uniform tax but a
 recomputation storm concentrated on exactly the high-cost working set the
 policy was built to protect.  This package layers replication onto the
-existing supervisor/router machinery:
+one supervisor/router path (an unreplicated shard is a group of one):
 
 * :class:`~repro.replica.hlc.HybridLogicalClock` — per-key versions that
   order writes across processes without clock trust (last-writer-wins).
-* :class:`~repro.replica.router.ReplicaRouter` — the ketama ring maps a
-  key to a *replica group*; all R members hold the same key subset, so
-  digests between members are directly comparable.
-* :class:`~repro.replica.pool.ReplicatedStorePool` — quorum writes
-  (W=1 fire-and-forget async replication up to W=R synchronous), reads
-  that fail over past open breakers and dead members.
+* :class:`~repro.replica.pool.GroupPool` — the one routed pool, built by
+  :meth:`repro.shard.router.ShardRouter.connect_pool`: the ketama ring
+  maps a key to a *replica group* whose R members hold the same key
+  subset (so their digests are directly comparable); quorum writes (W=1
+  async replication up to W=R synchronous) and reads that fail over past
+  open breakers and dead members.  Groups of one skip all of it and call
+  their member directly.  ``ReplicatedStorePool`` is its other name.
 * :class:`~repro.replica.antientropy.AntiEntropyRepairer` — per-slot
   key→version digest exchange and repair (re-SET at original cost, so
   GD-Wheel H-values stay honest).
@@ -29,15 +30,14 @@ from repro.replica.hlc import (
     pack_version,
     physical_ms,
 )
-from repro.replica.pool import QuorumWriteError, ReplicatedStorePool
-from repro.replica.router import ReplicaRouter
+from repro.replica.pool import GroupPool, QuorumWriteError, ReplicatedStorePool
 
 __all__ = [
     "AntiEntropyRepairer",
+    "GroupPool",
     "HybridLogicalClock",
     "QuorumWriteError",
     "RepairReport",
-    "ReplicaRouter",
     "ReplicatedStorePool",
     "bootstrap_store",
     "logical_count",

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.protocol.client import CostAwareClient
+from repro.protocol.commands import ProtocolError
 
 Endpoint = Tuple[str, int]
 
@@ -262,9 +263,10 @@ class AntiEntropyRepairer:
                 except (OSError, ConnectionError) as exc:
                     report.errors.append((group, member, str(exc)))
                     break
-                except Exception:
+                except ProtocolError:
                     # SERVER_ERROR (too large / OOM) — the target simply
-                    # cannot hold this item; eviction pressure differs
+                    # cannot hold this item; eviction pressure differs.
+                    # Anything else is a bug and propagates.
                     report.keys_failed += 1
                 else:
                     # STORED or NOT_STORED both leave the member holding

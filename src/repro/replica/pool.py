@@ -1,47 +1,50 @@
-"""Quorum writes and read failover over replicated shard groups.
+"""One routed pool for every fleet shape: ring → replica group → member.
 
-:class:`ReplicatedStorePool` is the replication-aware sibling of
-:class:`repro.aio.pool.AsyncStorePool`.  The ketama ring maps each key to
-a *group* name; every member of that group holds the full key range the
-group owns, so any member can answer any of the group's keys.  Writes fan
-out to every member carrying a hybrid-logical-clock version
-(:mod:`repro.replica.hlc`) and return once ``write_quorum`` members have
-acknowledged — the remaining legs finish in the background (W=1 is
-fire-and-forget async replication, W=R is fully synchronous).  Reads hit
-the key's primary member and step along the group's other members when
-the primary's breaker is open or its request fails.
+The ketama ring maps each key to a *group* name; every member of a group
+holds the group's full key range.  An unreplicated shard is a group of
+one, and each op on it calls the member's client directly — no version
+stamp, no primary rotation, no fan-out task — so R=1 sends the bytes and
+raises the errors of a plain routed client.
 
-Conflict resolution is last-writer-wins on the version: a replica that
-already holds a *newer* version answers ``NOT_STORED``, which counts as
-a quorum acknowledgement — the write is durably resolved, just not the
-winner.  Divergence that slips past quorum (a member down during the
-write) is closed by :class:`repro.replica.antientropy.AntiEntropyRepairer`.
+Larger groups replicate.  Writes fan out to every member carrying a
+hybrid-logical-clock version (:mod:`repro.replica.hlc`) and return once
+``write_quorum`` members acknowledged; the other legs finish in the
+background (W=1 is async replication, W=R fully synchronous).  Reads try
+the key's primary member, then the group's other members.  Conflicts
+resolve last-writer-wins on the version; divergence that slips past
+quorum is closed by :class:`repro.replica.antientropy.AntiEntropyRepairer`.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import contextlib
+import functools
+from typing import (
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
-from repro.aio.client import AsyncStoreClient
-from repro.aio.pool import MultiGetResult
 from repro.cluster.consistent import ConsistentHashRing
 from repro.kvstore.hashtable import fnv1a_64
+from repro.obs import tracing
 from repro.obs.aggregate import sum_numeric_stats
+from repro.obs.trace import key_fingerprint
 from repro.replica.hlc import HybridLogicalClock
 
+if TYPE_CHECKING:
+    from repro.aio.client import AsyncStoreClient
+
 #: statuses that durably resolve a write on a replica.  ``NOT_STORED`` is
-#: a last-writer-wins reject: the replica already holds something newer,
-#: so this write's outcome is decided — it lost.  Counting it as an ack
-#: keeps quorum math about *durability*, not about winning.
+#: a last-writer-wins reject — the replica holds something newer, so the
+#: write is decided (it lost); quorum math is about durability, not winning.
 ACK_STATUSES = (b"STORED", b"NOT_STORED")
 
 
 class QuorumWriteError(ConnectionError):
     """A write could not reach its quorum of replica acknowledgements.
 
-    Subclasses :class:`ConnectionError` so existing retry policies and
-    partial-failure handling treat it like any other node failure.
+    A :class:`ConnectionError`, so retry policies and partial-failure
+    handling treat it like any other node failure.
     """
 
     def __init__(self, message: str, acks: int = 0, needed: int = 0) -> None:
@@ -50,94 +53,145 @@ class QuorumWriteError(ConnectionError):
         self.needed = needed
 
 
-class ReplicatedStorePool:
+class MultiGetResult(Dict[bytes, bytes]):
+    """A ``multi_get`` result: the merged hits, plus per-key attribution.
+
+    A plain ``{key: value}`` dict of the hits.  :attr:`errors` maps every
+    key no member could answer to the exception of its last attempt, so a
+    caller can tell "miss" (absent from both) from "unknown, the shard was
+    down" and retry exactly the affected keys.
+    """
+
+    __slots__ = ("errors",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.errors: Dict[bytes, BaseException] = {}
+
+    @property
+    def complete(self) -> bool:
+        """True when every key was actually answered by a live node."""
+        return not self.errors
+
+
+class GroupPool:
     """One logical cache over replica groups behind a hash ring.
 
     Args:
         groups: group name -> {member name -> connected client}.  Member
-            order matters: it defines the rotation used to spread per-key
-            primaries across the group.
-        replicas: virtual ring points per *group* (ketama-style; routing
-            is by group name, so it agrees with any
-            :class:`~repro.shard.router.ShardRouter` built over the same
-            group names).
-        write_quorum: acknowledgements required before a write returns
-            (clamped to group size).  ``None`` = all members (synchronous
-            replication); ``1`` = primary-only with async fan-out.
-        hlc: the clock stamping write versions.  Share one instance per
-            process so versions issued by different pools interleave
-            correctly; defaults to a private clock.
+            order defines the rotation that spreads per-key primaries
+            across the group.  A plain ``name -> client`` entry is a group
+            of one named like its member.
+        replicas: virtual ring points per *group* (ketama-style), so
+            routing agrees with a
+            :class:`~repro.shard.router.ShardRouter` over the same names.
+        write_quorum: acknowledgements a replicated write needs (clamped
+            to group size).  ``None`` = all members (synchronous); ``1`` =
+            primary-only with async fan-out.
+        hlc: the clock stamping write versions.  Share one per process so
+            versions from different pools interleave correctly; defaults
+            to a private clock.
         registry: optional :class:`~repro.obs.registry.MetricsRegistry`
-            mirroring the pool's counters as ``replica_*`` metrics.
+            mirroring the failover/quorum counters as ``replica_*``.
+        tracer: optional :class:`~repro.obs.tracing.Tracer`.  The pool is
+            then the root sampler: sampled ops open a ``client.request``
+            root plus ``router.route`` spans, under which each member's
+            client records its hop spans.  Unsampled ops run with sampling
+            *suppressed* downstream, so a client sharing the tracer never
+            re-rolls the decision.
     """
 
     def __init__(
         self,
-        groups: Dict[str, Dict[str, AsyncStoreClient]],
+        groups: Mapping[str, Union[AsyncStoreClient,
+                                   Mapping[str, AsyncStoreClient]]],
         replicas: int = 100,
         write_quorum: Optional[int] = None,
         hlc: Optional[HybridLogicalClock] = None,
         registry=None,
+        tracer: Optional["tracing.Tracer"] = None,
     ) -> None:
         if not groups:
-            raise ValueError("a replicated pool needs at least one group")
-        for group, members in groups.items():
-            if not members:
-                raise ValueError(f"group {group!r} has no members")
-        self._groups: Dict[str, Tuple[str, ...]] = {
-            group: tuple(members) for group, members in groups.items()
-        }
-        self._clients: Dict[str, AsyncStoreClient] = {}
-        for members in groups.values():
-            self._clients.update(members)
-        self._ring = ConsistentHashRing(list(self._groups), replicas=replicas)
-        sizes = {len(m) for m in self._groups.values()}
-        self.replication = max(sizes)
+            raise ValueError("a pool needs at least one group")
         if write_quorum is not None and write_quorum < 1:
             raise ValueError("write_quorum must be >= 1")
+        self._groups: Dict[str, Tuple[str, ...]] = {}
+        self._clients: Dict[str, AsyncStoreClient] = {}
+        #: group -> (member, client) for every group of one: the direct path
+        self._solo: Dict[str, Tuple[str, AsyncStoreClient]] = {}
+        for group, members in groups.items():
+            if not isinstance(members, Mapping):
+                members = {group: members}
+            if not members:
+                raise ValueError(f"group {group!r} has no members")
+            self._groups[group] = tuple(members)
+            self._clients.update(members)
+            if len(members) == 1:
+                self._solo[group] = next(iter(members.items()))
+        self._ring = ConsistentHashRing(list(self._groups), replicas=replicas)
         self.write_quorum = write_quorum
         self.hlc = hlc if hlc is not None else HybridLogicalClock()
+        self.tracer = tracer
         self._registry = registry
-        #: reads answered by a non-primary member after the primary was
-        #: skipped (breaker open) or failed
+        #: reads answered by a non-primary member
         self.replica_failovers = 0
         #: writes that raised :class:`QuorumWriteError`
         self.quorum_failures = 0
-        #: replication legs of *acknowledged* writes that failed — whether
-        #: before quorum completed or in the background after it.  Each is
-        #: known divergence the anti-entropy loop will repair.
+        #: failed legs of *acknowledged* replicated writes, before or after
+        #: quorum: known divergence for the anti-entropy loop to repair
         self.async_write_failures = 0
         #: per-member operation counters, for balance diagnostics
-        self.member_ops: Dict[str, int] = {name: 0 for name in self._clients}
+        self.node_ops: Dict[str, int] = {name: 0 for name in self._clients}
+        #: per-member failed ``multi_get`` legs
+        self.node_failures: Dict[str, int] = {}
         #: background replication legs still in flight
         self._pending: Set[asyncio.Task] = set()
 
     # -- routing ---------------------------------------------------------------
 
     @property
-    def groups(self) -> Dict[str, Tuple[str, ...]]:
-        return dict(self._groups)
-
-    @property
     def clients(self) -> Dict[str, AsyncStoreClient]:
         return dict(self._clients)
+
+    @property
+    def breakers(self) -> Dict[str, object]:
+        """Per-member circuit breakers for clients that carry one."""
+        return {
+            name: client.breaker
+            for name, client in self._clients.items()
+            if client.breaker is not None
+        }
+
+    @property
+    def batch_support(self) -> Dict[str, Optional[bool]]:
+        """Negotiated MGET/MSET support per member: ``None`` until the
+        member's client has probed, then cached ``True``/``False``."""
+        return {
+            name: client.batch_supported
+            for name, client in self._clients.items()
+        }
 
     def group_for(self, key: bytes) -> str:
         group = self._ring.node_for(key)
         assert group is not None
         return group
 
+    def group_keys(self, keys: Sequence[bytes]) -> Dict[str, List[bytes]]:
+        """Partition ``keys`` by owning group, preserving per-group order."""
+        grouped: Dict[str, List[bytes]] = {}
+        for key in keys:
+            grouped.setdefault(self.group_for(key), []).append(key)
+        return grouped
+
     def replica_set(self, key: bytes) -> List[str]:
         """The key's member preference list: primary first, then peers.
 
-        All members hold the group's full key range, so the "primary" is
-        purely a load-spreading choice: the group's member tuple rotated
-        by ``fnv1a_64(key) % R``, giving every member an equal share of
-        primaries without any extra routing state.
+        The "primary" only spreads load: the group's member tuple rotated
+        by ``fnv1a_64(key) % R`` gives every member an equal share.
         """
         members = self._groups[self.group_for(key)]
         start = fnv1a_64(key) % len(members)
-        return [members[(start + i) % len(members)] for i in range(len(members))]
+        return list(members[start:] + members[:start])
 
     def _breaker_open(self, member: str) -> bool:
         # .state, never allow(): a routing pre-check must not consume the
@@ -145,30 +199,82 @@ class ReplicatedStorePool:
         breaker = self._clients[member].breaker
         return breaker is not None and breaker.state == "open"
 
-    def _read_order(self, key: bytes) -> List[str]:
-        """Members to try for a read: healthy first, open-breaker last."""
+    def _read_order(self, key: bytes) -> Sequence[str]:
+        """Members to try for a read.  Open-breaker members are demoted to
+        last resort, not skipped: a condemned group raises a real error
+        instead of inventing a miss."""
+        members = self._groups[self.group_for(key)]
+        if len(members) == 1:
+            return members
         order = self.replica_set(key)
-        healthy = [m for m in order if not self._breaker_open(m)]
         condemned = [m for m in order if self._breaker_open(m)]
-        return healthy + condemned
+        return [m for m in order if m not in condemned] + condemned
 
-    def _count(self, name: str) -> None:
+    def _count(self, name: str, n: int = 1) -> None:
         if self._registry is not None:
-            self._registry.counter(f"replica_{name}").inc()
+            self._registry.counter(f"replica_{name}").inc(n)
 
-    # -- reads -----------------------------------------------------------------
+    # -- single-key ops --------------------------------------------------------
+
+    def _single(self, op: str, key: bytes, replicated, *args, **kwargs):
+        """The awaitable for one single-key op: a group of one calls its
+        member client's ``op`` directly, a larger group runs
+        ``replicated``; with a tracer, under the pool's spans."""
+        group = self.group_for(key)
+        solo = self._solo.get(group)
+        if solo is None:
+            call = functools.partial(replicated, key, *args, **kwargs)
+        else:
+            self.node_ops[solo[0]] += 1
+            call = functools.partial(getattr(solo[1], op), key, *args, **kwargs)
+        if self.tracer is None:
+            return call()
+        return self._routed(op, key, group, call)
+
+    async def _routed(self, op: str, key: bytes, group: str, call):
+        with self._request(op, key_fp=key_fingerprint(key)) as root:
+            if root is None:
+                return await call()
+            with self._route(root, shard=group):
+                return await call()
+
+    @contextlib.contextmanager
+    def _request(self, op: str, **attrs):
+        """The ``client.request`` root span, or None when unsampled (and
+        sampling suppressed downstream; a member client still
+        force-samples a request that turns out slow or shed)."""
+        tracer = self.tracer
+        root = None
+        if tracer.sample():
+            root = tracer.start_span("client.request", op=op, **attrs)
+            token = tracing.activate(root)
+        else:
+            token = tracing.suppress()
+        try:
+            yield root
+        finally:
+            tracing.deactivate(token)
+            if root is not None:
+                tracer.end(root)
+
+    @contextlib.contextmanager
+    def _route(self, root, **attrs):
+        route = self.tracer.start_span("router.route", parent=root, **attrs)
+        token = tracing.activate(route)
+        try:
+            yield
+        finally:
+            tracing.deactivate(token)
+            self.tracer.end(route)
 
     async def get(self, key: bytes) -> Optional[bytes]:
-        """GET with replica failover.
+        """GET; a replicated group fails over along the read order."""
+        return await self._single("get", key, self._failover_get)
 
-        Tries the primary, then each remaining member; a member whose
-        breaker is hard-open is demoted to last resort rather than
-        skipped outright, so a fully-condemned group still surfaces a
-        real error instead of an invented miss.
-        """
+    async def _failover_get(self, key: bytes) -> Optional[bytes]:
         last_error: Optional[BaseException] = None
         for index, member in enumerate(self._read_order(key)):
-            self.member_ops[member] += 1
+            self.node_ops[member] += 1
             try:
                 value = await self._clients[member].get(key)
             except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
@@ -181,91 +287,6 @@ class ReplicatedStorePool:
         assert last_error is not None
         raise last_error
 
-    async def multi_get(
-        self, keys: Sequence[bytes], partial: bool = False
-    ) -> MultiGetResult:
-        """Concurrent multi-key GET with per-group member failover.
-
-        Round 1 batches each key to its primary member (one MGET frame
-        per member).  Keys on a failed leg are re-batched to their next
-        untried member and the rounds repeat until every key is answered
-        or has exhausted its group.  The partial-failure contract matches
-        :meth:`AsyncStorePool.multi_get`: ``partial=False`` raises the
-        first surviving error, ``partial=True`` returns the merged hits
-        with ``result.errors`` attributing keys no member could answer.
-        """
-        merged = MultiGetResult()
-        if not keys:
-            return merged
-        tried: Dict[bytes, Set[str]] = {key: set() for key in keys}
-        pending: List[bytes] = list(dict.fromkeys(keys))
-        while pending:
-            batches: Dict[str, List[bytes]] = {}
-            unroutable: List[bytes] = []
-            for key in pending:
-                member = next(
-                    (m for m in self._read_order(key) if m not in tried[key]),
-                    None,
-                )
-                if member is None:
-                    unroutable.append(key)
-                    continue
-                tried[key].add(member)
-                batches.setdefault(member, []).append(key)
-            if not batches:
-                break
-            members = list(batches)
-            results = await asyncio.gather(
-                *(self._clients[m].get_many(batches[m]) for m in members),
-                return_exceptions=True,
-            )
-            pending = list(unroutable)
-            for member, found in zip(members, results):
-                self.member_ops[member] += 1
-                if isinstance(found, BaseException):
-                    for key in batches[member]:
-                        merged.errors[key] = found
-                        pending.append(key)
-                    continue
-                for key in batches[member]:
-                    merged.errors.pop(key, None)
-                merged.update(found)
-            if unroutable and len(unroutable) == len(pending):
-                break  # nothing left to try anywhere
-        failovers = sum(
-            1 for key, members in tried.items()
-            if len(members) > 1 and key not in merged.errors
-        )
-        if failovers:
-            self.replica_failovers += failovers
-            for _ in range(failovers):
-                self._count("failover_total")
-        if merged.errors and not partial:
-            raise next(iter(merged.errors.values()))
-        return merged
-
-    # -- writes ----------------------------------------------------------------
-
-    def _quorum_for(self, nmembers: int) -> int:
-        if self.write_quorum is None:
-            return nmembers
-        return min(self.write_quorum, nmembers)
-
-    def _track_background(self, tasks: Sequence[asyncio.Task]) -> None:
-        """Keep post-quorum legs alive and tally the ones that fail."""
-        for task in tasks:
-            self._pending.add(task)
-            task.add_done_callback(self._background_done)
-
-    def _background_done(self, task: asyncio.Task) -> None:
-        self._pending.discard(task)
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is not None:
-            self.async_write_failures += 1
-            self._count("async_write_failures")
-
     async def set(
         self,
         key: bytes,
@@ -274,37 +295,44 @@ class ReplicatedStorePool:
         exptime: float = 0,
         flags: int = 0,
     ) -> bool:
-        """Quorum SET: stamp a version, fan out, return at W acks.
+        """SET; a replicated group takes a quorum write.
 
-        Every member receives the same versioned SET concurrently.  The
-        call returns as soon as ``write_quorum`` legs resolve (STORED or
-        a NOT_STORED last-writer-wins reject both count — see
-        :data:`ACK_STATUSES`); the rest continue in the background and
-        failures there are tallied in :attr:`async_write_failures` for
-        the anti-entropy loop to close.  Raises :class:`QuorumWriteError`
-        when too few members can acknowledge.
-
-        Returns True when at least one acknowledging member actually
-        stored the value (False = the write lost LWW everywhere).
+        Every member receives the same versioned SET concurrently; the
+        call returns once ``write_quorum`` legs resolved (see
+        :data:`ACK_STATUSES`) and the rest finish in the background, their
+        failures tallied in :attr:`async_write_failures`.  Raises
+        :class:`QuorumWriteError` when too few members acknowledge.
+        Returns True when an acknowledging member actually stored the
+        value (False = the write lost LWW everywhere).
         """
+        return await self._single(
+            "set", key, self._quorum_set, value,
+            cost=cost, exptime=exptime, flags=flags,
+        )
+
+    def _quorum_for(self, nmembers: int) -> int:
+        return min(self.write_quorum or nmembers, nmembers)
+
+    def _background_done(self, task: asyncio.Task) -> None:
+        self._pending.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            self.async_write_failures += 1
+            self._count("async_write_failures")
+
+    async def _quorum_set(self, key: bytes, value: bytes, cost: int,
+                          exptime: float, flags: int) -> bool:
         members = self.replica_set(key)
         needed = self._quorum_for(len(members))
         version = self.hlc.tick()
-        tasks = {
-            asyncio.ensure_future(
-                self._clients[member].set(
-                    key, value, cost=cost, exptime=exptime,
-                    flags=flags, version=version,
-                )
-            ): member
-            for member in members
-        }
+        pending = set()
         for member in members:
-            self.member_ops[member] += 1
-        acks = 0
+            self.node_ops[member] += 1
+            pending.add(asyncio.ensure_future(self._clients[member].set(
+                key, value, cost=cost, exptime=exptime,
+                flags=flags, version=version,
+            )))
+        acks = failures = 0
         stored = False
-        failures = 0
-        pending = set(tasks)
         try:
             while pending and acks < needed:
                 done, pending = await asyncio.wait(
@@ -317,8 +345,9 @@ class ReplicatedStorePool:
                         acks += 1
                         stored = stored or bool(task.result())
         finally:
-            if pending:
-                self._track_background(list(pending))
+            for task in pending:  # post-quorum legs stay alive, tallied
+                self._pending.add(task)
+                task.add_done_callback(self._background_done)
         if acks < needed:
             self.quorum_failures += 1
             self._count("quorum_failures")
@@ -327,106 +356,181 @@ class ReplicatedStorePool:
                 f"{acks}/{needed} acks ({failures} members failed)",
                 acks=acks, needed=needed,
             )
-        if failures:
-            # the write is acknowledged but some member never took it:
-            # that is real divergence, tallied whether the leg failed
-            # before quorum resolved or in the background after it
+        if failures:  # acknowledged, but some member never took it
             self.async_write_failures += failures
-            for _ in range(failures):
-                self._count("async_write_failures")
+            self._count("async_write_failures", failures)
         return stored
 
-    async def multi_set(
-        self,
-        items: Sequence[Tuple[bytes, bytes, int]],
-        exptime: float = 0,
-    ) -> int:
-        """Quorum MSET: one versioned frame per member, per-item quorum.
-
-        Items are stamped and grouped per replica group; each member of a
-        group receives the full group batch concurrently.  An item is
-        acknowledged once ``write_quorum`` members answered STORED or
-        NOT_STORED for it.  Returns the number of items that achieved
-        quorum; raises :class:`QuorumWriteError` if any item did not
-        (after every leg resolved — batch legs are not left running).
-        """
-        if not items:
-            return 0
-        grouped: Dict[str, List[Tuple[bytes, bytes, int, int]]] = {}
-        for item in items:
-            key, value, cost = item[0], item[1], item[2]
-            stamped = (key, value, cost, self.hlc.tick())
-            grouped.setdefault(self.group_for(key), []).append(stamped)
-        legs: List[Tuple[str, str]] = []  # (group, member)
-        coros = []
-        for group, batch in grouped.items():
-            for member in self._groups[group]:
-                legs.append((group, member))
-                coros.append(
-                    self._clients[member].set_many_statuses(
-                        batch, exptime=exptime
-                    )
-                )
-        results = await asyncio.gather(*coros, return_exceptions=True)
-        acks: Dict[Tuple[str, int], int] = {}
-        for (group, member), statuses in zip(legs, results):
-            self.member_ops[member] += 1
-            if isinstance(statuses, BaseException):
-                continue
-            for index, status in enumerate(statuses):
-                if status in ACK_STATUSES:
-                    acks[(group, index)] = acks.get((group, index), 0) + 1
-        acked = 0
-        short = 0
-        for group, batch in grouped.items():
-            needed = self._quorum_for(len(self._groups[group]))
-            for index in range(len(batch)):
-                if acks.get((group, index), 0) >= needed:
-                    acked += 1
-                else:
-                    short += 1
-        if short:
-            self.quorum_failures += short
-            self._count("quorum_failures")
-            raise QuorumWriteError(
-                f"{short} of {len(items)} items missed their write quorum",
-                acks=acked, needed=len(items),
-            )
-        return acked
-
     async def delete(self, key: bytes) -> bool:
-        """DELETE on every member; True if any member had the key.
+        """DELETE; a replicated group deletes on every member and answers
+        True if any had the key.  Deletes are unversioned (memcached
+        semantics): a member that was down keeps a stale item until
+        anti-entropy or expiry removes it."""
+        return await self._single("delete", key, self._delete_all)
 
-        Deletes are unversioned (memcached semantics): a member that was
-        down keeps a stale item until anti-entropy or its own expiry
-        removes it.
-        """
+    async def _delete_all(self, key: bytes) -> bool:
         members = self.replica_set(key)
         results = await asyncio.gather(
             *(self._clients[m].delete(key) for m in members),
             return_exceptions=True,
         )
         for member in members:
-            self.member_ops[member] += 1
-        deleted = [r for r in results if r is True]
-        if not deleted and all(isinstance(r, BaseException) for r in results):
-            raise next(r for r in results if isinstance(r, BaseException))
-        return bool(deleted)
+            self.node_ops[member] += 1
+        if all(isinstance(r, BaseException) for r in results):
+            raise results[0]
+        return any(r is True for r in results)
+
+    # -- scatter/gather --------------------------------------------------------
+
+    async def multi_get(
+        self, keys: Sequence[bytes], partial: bool = False
+    ) -> MultiGetResult:
+        """Concurrent multi-key GET with per-group member failover.
+
+        Each round sends every member one MGET frame with all its keys
+        (the client negotiates per-key GETs against old servers), members
+        concurrently.  Round 1 sends each key to the first member in its
+        read order; keys on a failed leg go to their next untried member
+        until answered or out of members — a group of one gets one round.
+
+        By default a key no member could answer makes the call raise that
+        member's error, after every leg completed.  ``partial=True``
+        returns the hits instead, with ``result.errors`` attributing every
+        unanswered key.  Failed legs are tallied in :attr:`node_failures`.
+        """
+        merged = MultiGetResult()
+        batches: Dict[str, List[bytes]] = {}
+        for key in keys:
+            batches.setdefault(self._read_order(key)[0], []).append(key)
+        if not batches:
+            return merged
+        tried: Dict[bytes, Set[str]] = {}
+        with (
+            contextlib.nullcontext() if self.tracer is None
+            else self._request("multi_get", nkeys=len(keys), nodes=len(batches))
+        ) as root:
+            while batches:
+                batches = await self._get_round(batches, merged, tried, root)
+        failovers = sum(1 for key in tried if key not in merged.errors)
+        if failovers:
+            self.replica_failovers += failovers
+            self._count("failover_total", failovers)
+        if merged.errors and not partial:
+            raise next(iter(merged.errors.values()))
+        return merged
+
+    async def _get_round(self, batches, merged, tried, root):
+        """One fan-out round; returns the next round's member batches."""
+        members = list(batches)
+        if root is None:
+            legs = (self._clients[m].get_many(batches[m]) for m in members)
+        else:  # each leg opens its route span in its own task
+            legs = (self._traced_leg(root, m, batches[m]) for m in members)
+        results = await asyncio.gather(*legs, return_exceptions=True)
+        retry: Dict[str, List[bytes]] = {}
+        for member, found in zip(members, results):
+            self.node_ops[member] += 1
+            if not isinstance(found, BaseException):
+                if merged.errors:
+                    for key in batches[member]:
+                        merged.errors.pop(key, None)
+                merged.update(found)
+                continue
+            self.node_failures[member] = self.node_failures.get(member, 0) + 1
+            for key in batches[member]:
+                merged.errors[key] = found
+                seen = tried.setdefault(key, set())
+                seen.add(member)
+                untried = [m for m in self._read_order(key) if m not in seen]
+                if untried:
+                    retry.setdefault(untried[0], []).append(key)
+        return retry
+
+    async def _traced_leg(self, root, member: str, keys):
+        with self._route(root, shard=member, nkeys=len(keys)):
+            return await self._clients[member].get_many(keys)
+
+    async def multi_set(
+        self,
+        items: Sequence[Tuple[bytes, bytes, int]],
+        exptime: float = 0,
+    ) -> int:
+        """Concurrent batched SETs of (key, value, cost); returns #stored.
+
+        A group of one gets one MSET frame of its items.  A replicated
+        group's items are version-stamped and sent to every member; an
+        item counts once ``write_quorum`` members acknowledged it, and
+        :class:`QuorumWriteError` is raised, after every leg resolved, if
+        any item fell short.
+        """
+        direct: Dict[str, List[Tuple[bytes, bytes, int]]] = {}
+        stamped: Dict[str, List[Tuple[bytes, bytes, int, int]]] = {}
+        for item in items:
+            group = self.group_for(item[0])
+            solo = self._solo.get(group)
+            if solo is not None:
+                direct.setdefault(solo[0], []).append(item)
+            else:
+                stamped.setdefault(group, []).append(
+                    (item[0], item[1], item[2], self.hlc.tick())
+                )
+        legs = [
+            self._clients[member].set_many(batch, exptime=exptime)
+            for member, batch in direct.items()
+        ]
+        if stamped:
+            legs.append(self._quorum_multi_set(stamped, exptime))
+        counts = await asyncio.gather(*legs)
+        for member in direct:
+            self.node_ops[member] += 1
+        return sum(counts)
+
+    async def _quorum_multi_set(self, stamped, exptime: float) -> int:
+        legs = [(g, member) for g in stamped for member in self._groups[g]]
+        results = await asyncio.gather(
+            *(self._clients[member].set_many_statuses(stamped[g], exptime=exptime)
+              for g, member in legs),
+            return_exceptions=True,
+        )
+        acks = {group: [0] * len(batch) for group, batch in stamped.items()}
+        for (group, member), statuses in zip(legs, results):
+            self.node_ops[member] += 1
+            if not isinstance(statuses, BaseException):
+                for index, status in enumerate(statuses):
+                    acks[group][index] += status in ACK_STATUSES
+        total = sum(len(batch) for batch in stamped.values())
+        acked = sum(
+            count >= self._quorum_for(len(self._groups[group]))
+            for group, counts in acks.items() for count in counts
+        )
+        if acked < total:
+            self.quorum_failures += total - acked
+            self._count("quorum_failures")
+            raise QuorumWriteError(
+                f"{total - acked} of {total} items missed their write quorum",
+                acks=acked, needed=total,
+            )
+        return acked
 
     # -- lifecycle / fleet -----------------------------------------------------
 
     async def drain(self, timeout: Optional[float] = None) -> None:
         """Wait for background replication legs to finish (tests, shutdown)."""
-        if not self._pending:
-            return
-        await asyncio.wait(set(self._pending), timeout=timeout)
+        if self._pending:
+            await asyncio.wait(set(self._pending), timeout=timeout)
 
-    async def aggregate_stats(self) -> Dict[str, int]:
+    async def per_node_stats(self) -> Dict[str, Dict[str, str]]:
+        """Raw server stats per member, gathered concurrently."""
         members = list(self._clients)
         snapshots = await asyncio.gather(
             *(self._clients[m].stats() for m in members)
         )
-        return sum_numeric_stats(snapshots)
+        return dict(zip(members, snapshots))
+
+    async def aggregate_stats(self) -> Dict[str, int]:
+        """Summed numeric server stats across every member (merged by
+        :func:`repro.obs.aggregate.sum_numeric_stats`)."""
+        return sum_numeric_stats((await self.per_node_stats()).values())
 
     async def flush_all(self) -> None:
         await asyncio.gather(*(c.flush_all() for c in self._clients.values()))
@@ -438,8 +542,12 @@ class ReplicatedStorePool:
             await asyncio.gather(*self._pending, return_exceptions=True)
         await asyncio.gather(*(c.aclose() for c in self._clients.values()))
 
-    async def __aenter__(self) -> "ReplicatedStorePool":
+    async def __aenter__(self) -> "GroupPool":
         return self
 
     async def __aexit__(self, *exc) -> None:
         await self.aclose()
+
+
+#: The pool's name where callers hold replica groups of clients.
+ReplicatedStorePool = GroupPool

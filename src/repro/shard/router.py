@@ -1,83 +1,91 @@
-"""Client-side key→shard routing for a sharded deployment.
+"""Client-side key→group routing plus the address book for every member.
 
 The router wraps the same ketama ring
-(:class:`repro.cluster.consistent.ConsistentHashRing`) that both
-:class:`repro.cluster.pool.StorePool` and
-:class:`repro.aio.pool.AsyncStorePool` build internally, keyed by shard
-*name* — never by address.  Names outlive worker processes: a shard that
-crashes and respawns (even on a new port) keeps its name and therefore its
-ring points, so the key→shard assignment is byte-for-byte stable across
-restarts and across every client that knows the same shard names.
-
-:meth:`ShardRouter.connect_pool` turns the routing table into a live
-:class:`AsyncStorePool`, which makes a sharded deployment a drop-in,
-protocol-compatible replacement for the multi-node cluster client from
-PR 1.
+(:class:`repro.cluster.consistent.ConsistentHashRing`) every pool builds,
+keyed by *group* name — never by address or member name.  Names outlive
+worker processes: a member that respawns (even on a new port) keeps its
+name and its group, so the key→group assignment is stable across restarts
+and across every client that knows the same group names.  All members of
+a group serve its whole key range; an unreplicated shard is a group of
+one.  :meth:`ShardRouter.connect_pool` turns the table into a live
+:class:`~repro.replica.pool.GroupPool`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.aio.backoff import RetryPolicy
 from repro.aio.client import AsyncStoreClient
-from repro.aio.pool import AsyncStorePool
 from repro.cluster.consistent import ConsistentHashRing
+from repro.replica.hlc import HybridLogicalClock
+from repro.replica.pool import GroupPool
 from repro.resilience.breaker import BreakerPolicy, CircuitBreaker
 
 Endpoint = Tuple[str, int]
 
 
 class ShardRouter:
-    """Key→shard assignment plus the address book to reach each shard.
+    """Key→group assignment plus member address books.
 
     Args:
-        endpoints: shard name -> (host, port).  The *names* define the
-            ring; the addresses are just delivery details and may be
-            updated in place (:meth:`update_endpoint`) without moving any
-            keys.
-        replicas: virtual ring points per shard (must match the value
+        groups: group name -> {member name -> (host, port)}; a plain
+            ``name -> (host, port)`` entry is a group of one named like its
+            member.  Group names define the ring, member order the primary
+            rotation (:meth:`GroupPool.replica_set`); addresses may change
+            (:meth:`update_endpoint`) without moving keys.
+        replicas: virtual ring points per group (must match the value
             other clients use for their routing to agree).
     """
 
-    def __init__(self, endpoints: Dict[str, Endpoint], replicas: int = 100) -> None:
-        if not endpoints:
-            raise ValueError("a router needs at least one shard endpoint")
+    def __init__(
+        self,
+        groups: Mapping[str, Union[Endpoint, Mapping[str, Endpoint]]],
+        replicas: int = 100,
+    ) -> None:
+        if not groups:
+            raise ValueError("a router needs at least one group")
         self.replicas = replicas
-        self._endpoints: Dict[str, Endpoint] = dict(endpoints)
-        self._ring = ConsistentHashRing(list(self._endpoints), replicas=replicas)
-
-    def __len__(self) -> int:
-        return len(self._endpoints)
+        self._groups: Dict[str, Dict[str, Endpoint]] = {}
+        seen = set()
+        for group, members in groups.items():
+            if not isinstance(members, Mapping):
+                members = {group: members}
+            if not members:
+                raise ValueError(f"group {group!r} has no members")
+            if seen.intersection(members):
+                raise ValueError(f"duplicate member name in group {group!r}")
+            seen.update(members)
+            self._groups[group] = dict(members)
+        self._ring = ConsistentHashRing(list(self._groups), replicas=replicas)
 
     @property
-    def shards(self) -> Tuple[str, ...]:
-        return tuple(self._endpoints)
+    def replication(self) -> int:
+        """R: the (largest) group size."""
+        return max(len(members) for members in self._groups.values())
 
-    @property
-    def endpoints(self) -> Dict[str, Endpoint]:
-        return dict(self._endpoints)
+    def group_for(self, key: bytes) -> str:
+        """The group owning ``key`` (pure ring lookup)."""
+        group = self._ring.node_for(key)
+        assert group is not None  # the ring is never empty
+        return group
 
-    @property
-    def ring(self) -> ConsistentHashRing:
-        return self._ring
+    def members_of(self, group: str) -> Dict[str, Endpoint]:
+        """The group's member name -> (host, port) address book."""
+        return dict(self._groups[group])
 
-    def shard_for(self, key: bytes) -> str:
-        """The shard name owning ``key`` (pure ring lookup)."""
-        shard = self._ring.node_for(key)
-        assert shard is not None  # the ring is never empty
-        return shard
+    def endpoints_for(self, key: bytes) -> List[Endpoint]:
+        """Member addresses for ``key``'s group, in member order."""
+        return list(self._groups[self.group_for(key)].values())
 
-    def endpoint_for(self, key: bytes) -> Endpoint:
-        """The (host, port) currently serving ``key``'s shard."""
-        return self._endpoints[self.shard_for(key)]
-
-    def update_endpoint(self, shard: str, host: str, port: int) -> None:
-        """Point ``shard`` at a new address — routing does not change."""
-        if shard not in self._endpoints:
-            raise KeyError(f"unknown shard {shard!r}")
-        self._endpoints[shard] = (host, port)
+    def update_endpoint(self, member: str, host: str, port: int) -> None:
+        """Point ``member`` at a new address — routing does not change."""
+        for members in self._groups.values():
+            if member in members:
+                members[member] = (host, port)
+                return
+        raise KeyError(f"unknown member {member!r}")
 
     def connect_pool(
         self,
@@ -90,45 +98,36 @@ class ShardRouter:
         trace=None,
         tracer=None,
         batching: str = "mget",
-    ) -> AsyncStorePool:
-        """A live :class:`AsyncStorePool` over the current endpoints.
+        write_quorum: Optional[int] = None,
+        hlc: Optional[HybridLogicalClock] = None,
+    ) -> GroupPool:
+        """A live :class:`GroupPool` over the current endpoints, routing
+        exactly like this router.
 
-        The pool re-derives the ring from the same shard names and replica
-        count, so ``pool.node_for(key) == router.shard_for(key)`` for every
-        key; clients inherit the PR 1 retry/backoff behaviour, which is
-        what rides out a worker respawn.
-
-        With ``breaker_policy`` set, every shard's client gets its own
-        :class:`~repro.resilience.CircuitBreaker` (named after the shard,
-        exporting state through ``registry``/``trace`` when given), so a
-        dead shard fails fast with
-        :class:`~repro.resilience.BreakerOpenError` instead of charging
-        each request the full retry+backoff schedule.
-
-        With ``tracer`` set, the pool and every shard client share that
-        one :class:`~repro.obs.tracing.Tracer`: the pool makes the
-        sampling decision, per-node clients record their hop spans, and
-        the context propagates to each shard server on the wire.
-
-        ``batching`` (default ``"mget"``) selects how each shard client
-        puts batches on the wire — one first-class MGET/MSET frame per
-        shard, with per-key fallback negotiated against old shard
-        servers; see :class:`AsyncStoreClient`.
+        Every member gets its own client (whose ``retry`` rides out a
+        worker respawn) and, with ``breaker_policy``, its own
+        :class:`~repro.resilience.CircuitBreaker` named after the member
+        and exporting through ``registry``/``trace``.  A ``tracer`` is
+        shared by the pool (the sampler) and every client (hop spans,
+        wire propagation).  ``batching`` is the clients' batch framing;
+        ``write_quorum``/``hlc`` configure replicated groups.
         """
-        clients = {
-            shard: AsyncStoreClient(
-                host, port, pool_size=pool_size, timeout=timeout,
-                retry=retry, rng=rng,
-                breaker=(
-                    CircuitBreaker(
-                        breaker_policy, name=shard,
-                        registry=registry, trace=trace,
-                    )
-                    if breaker_policy is not None else None
-                ),
-                tracer=tracer,
-                batching=batching,
+
+        def connect(member: str, host: str, port: int) -> AsyncStoreClient:
+            breaker = None
+            if breaker_policy is not None:
+                breaker = CircuitBreaker(breaker_policy, name=member,
+                                         registry=registry, trace=trace)
+            return AsyncStoreClient(
+                host, port, pool_size=pool_size, timeout=timeout, retry=retry,
+                rng=rng, breaker=breaker, tracer=tracer, batching=batching,
             )
-            for shard, (host, port) in self._endpoints.items()
-        }
-        return AsyncStorePool(clients, replicas=self.replicas, tracer=tracer)
+
+        return GroupPool(
+            {
+                group: {m: connect(m, *ep) for m, ep in members.items()}
+                for group, members in self._groups.items()
+            },
+            replicas=self.replicas, write_quorum=write_quorum, hlc=hlc,
+            registry=registry, tracer=tracer,
+        )

@@ -464,38 +464,20 @@ class ShardSupervisor:
     # -- client-side views ------------------------------------------------------
 
     def router(self) -> ShardRouter:
-        """A :class:`ShardRouter` over the current endpoints (R=1 only —
-        with replica groups a flat member ring would split each group's
-        keyspace; use :meth:`replica_router`)."""
-        if self.replication > 1:
-            raise RuntimeError(
-                "router() is for unreplicated fleets; use replica_router()"
-            )
-        return ShardRouter(self.endpoints(), replicas=self.replicas)
+        """A :class:`ShardRouter` over the current group endpoints.
 
-    def replica_router(self):
-        """A :class:`~repro.replica.router.ReplicaRouter` over the groups.
-
-        Works at any R (R=1 groups are groups of one), and routes by the
-        same group names :meth:`router` would use, so the key→group
-        assignment is identical to the unreplicated fleet's key→shard.
+        The ring routes by group name at every R; an unreplicated fleet's
+        groups are groups of one named like their only member.
         """
-        from repro.replica.router import ReplicaRouter
-
-        return ReplicaRouter(self.group_endpoints(), replicas=self.replicas)
+        return ShardRouter(self.group_endpoints(), replicas=self.replicas)
 
     def connect_pool(self, **kwargs):
-        """A live pool over the fleet.
-
-        R=1: an :class:`~repro.aio.pool.AsyncStorePool` (exactly the old
-        behaviour, same kwargs).  R>1: a
-        :class:`~repro.replica.pool.ReplicatedStorePool` with this
-        supervisor's default ``write_quorum`` (overridable per call).
+        """A live :class:`~repro.replica.pool.GroupPool` over the fleet,
+        with this supervisor's default ``write_quorum`` (overridable per
+        call); every other kwarg goes to :meth:`ShardRouter.connect_pool`.
         """
-        if self.replication == 1:
-            return self.router().connect_pool(**kwargs)
         kwargs.setdefault("write_quorum", self.write_quorum)
-        return self.replica_router().connect_pool(**kwargs)
+        return self.router().connect_pool(**kwargs)
 
     # -- anti-entropy -----------------------------------------------------------
 

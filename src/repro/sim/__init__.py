@@ -6,7 +6,7 @@ from repro.sim.calibrate import (
     capacity_items_for,
     lru_hit_rate,
 )
-from repro.sim.histogram import LatencyHistogram
+from repro.obs.histogram import LatencyHistogram
 from repro.sim.driver import (
     DEFAULT_REQUEST_INTERVAL_S,
     PAPER_REBALANCER_CHECKS,

@@ -59,7 +59,7 @@ class TestAsyncStorePool:
                 assert await pool.delete(b"k") is True
                 assert await pool.get(b"k") is None
                 # the key lived on exactly the ring-owned store
-                owner = pool.node_for(b"k")
+                owner = pool.group_for(b"k")
                 assert pool.node_ops[owner] >= 4
 
         run(main())
@@ -84,7 +84,7 @@ class TestAsyncStorePool:
         async def main():
             async with three_node_pool() as (pool, stores, _):
                 keys = [b"key-%d" % i for i in range(60)]
-                grouped = pool.group_by_node(keys)
+                grouped = pool.group_keys(keys)
                 assert sum(len(v) for v in grouped.values()) == 60
                 await pool.multi_set([(k, b"v", 0) for k in keys])
                 for node, node_keys in grouped.items():
@@ -140,7 +140,7 @@ class TestMultiGetErrorAttribution:
             async with three_node_pool() as (pool, stores, servers):
                 keys = [b"key-%d" % i for i in range(30)]
                 await pool.multi_set([(k, b"v-" + k, 1) for k in keys])
-                grouped = pool.group_by_node(keys)
+                grouped = pool.group_keys(keys)
                 dead = next(iter(grouped))
                 await servers[dead].stop()
                 for client in pool._clients.values():
@@ -182,7 +182,7 @@ class TestMultiGetErrorAttribution:
             async with three_node_pool() as (pool, _, servers):
                 keys = [b"key-%d" % i for i in range(30)]
                 await pool.multi_set([(k, b"v", 1) for k in keys])
-                dead = next(iter(pool.group_by_node(keys)))
+                dead = next(iter(pool.group_keys(keys)))
                 await servers[dead].stop()
                 for client in pool._clients.values():
                     client.retry = NO_RETRY

@@ -1,5 +1,10 @@
 """AntiEntropyRepairer: digest comparison, repair, cost preservation."""
 
+import pytest
+
+from repro.core import GDWheelPolicy
+from repro.kvstore import KVStore
+from repro.protocol.server import TCPStoreServer
 from repro.replica import AntiEntropyRepairer, HybridLogicalClock
 
 
@@ -132,3 +137,52 @@ class TestMultiGroup:
         # repair never leaks keys across groups
         assert c.store.get(b"in-g0") is None
         assert a.store.get(b"in-g1") is None
+
+
+class _BuggySet:
+    """A member client whose ``set`` has a programming error."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def set(self, *args, **kwargs):
+        raise TypeError("bug in set")
+
+
+class TestErrorHygiene:
+    def test_bug_in_set_propagates(self, pair):
+        hlc = HybridLogicalClock()
+        pair[0].store.set(b"only0", b"x", version=hlc.tick())
+        repairer = repairer_for(pair)
+        connect = repairer._connect
+        repairer._connect = lambda endpoint: (
+            _BuggySet(connect(endpoint))
+            if endpoint == pair[1].address else connect(endpoint)
+        )
+        with pytest.raises(TypeError):
+            repairer.run_once()
+
+    def test_server_error_reply_counts_as_failed(self, pair):
+        # the source's slabs hold an item the target's 64 KiB slabs refuse:
+        # the repair SET is answered SERVER_ERROR
+        big = KVStore(
+            memory_limit=4 * 1024 * 1024, slab_size=1024 * 1024,
+            policy_factory=GDWheelPolicy, hlc=HybridLogicalClock(),
+        )
+        big.set(b"huge", b"h" * (200 * 1024), version=HybridLogicalClock().tick())
+        server = TCPStoreServer(big)
+        server.start()
+        try:
+            repairer = AntiEntropyRepairer(
+                {"g0": {"g0.r0": server.address, "g0.r1": pair[1].address}},
+                nslots=4,
+            )
+            report = repairer.run_once()
+        finally:
+            server.stop()
+        assert report.keys_failed == 1
+        assert report.keys_repaired == 0
+        assert pair[1].store.get(b"huge") is None

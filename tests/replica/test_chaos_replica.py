@@ -12,9 +12,9 @@ import asyncio
 import time
 
 from repro.aio.backoff import RetryPolicy
-from repro.replica import QuorumWriteError, ReplicaRouter
+from repro.replica import QuorumWriteError
 from repro.resilience import ChaosProxy, FaultSchedule
-from repro.shard import ShardSupervisor
+from repro.shard import ShardRouter, ShardSupervisor
 
 RETRY = RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.5)
 
@@ -58,7 +58,7 @@ async def _drive(sup):
                 proxies.append(proxy)
                 groups[group][member] = proxy.address
 
-        router = ReplicaRouter(groups)
+        router = ShardRouter(groups)
         acked = {}
         async with router.connect_pool(write_quorum=2, retry=RETRY) as pool:
             # phase 1: steady state — every write must ack at W=R

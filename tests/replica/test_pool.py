@@ -5,8 +5,10 @@ import asyncio
 import pytest
 
 from repro.aio.backoff import RetryPolicy
-from repro.replica import QuorumWriteError, ReplicaRouter
+from repro.replica import QuorumWriteError
 from repro.replica.hlc import pack_version
+from repro.resilience.breaker import BreakerPolicy
+from repro.shard import ShardRouter
 
 #: fail fast — dead members should cost one dial, not a backoff ladder
 FAST = RetryPolicy(max_attempts=1)
@@ -19,7 +21,7 @@ def run(coro):
 
 
 def router_for(pair):
-    return ReplicaRouter({
+    return ShardRouter({
         "g0": {"g0.r0": pair[0].address, "g0.r1": pair[1].address}
     })
 
@@ -186,3 +188,26 @@ class TestReadFailover:
         primaries = {pool.replica_set(b"key-%d" % i)[0] for i in range(64)}
         assert primaries == {"g0.r0", "g0.r1"}  # both members take load
         run(pool.aclose())
+
+    def test_open_breaker_member_demoted_without_probe(self, pair):
+        self.seed(pair)
+        keys = [b"key-%d" % i for i in range(30)]
+
+        async def main():
+            async with router_for(pair).connect_pool(
+                retry=FAST,
+                breaker_policy=BreakerPolicy(
+                    failure_threshold=1, recovery_time=60.0
+                ),
+            ) as pool:
+                pool.breakers["g0.r0"].record_failure()
+                found = await pool.multi_get(keys)
+                assert found == {
+                    b"key-%d" % i: b"val-%d" % i for i in range(30)
+                }
+                # the pre-check reads .state, never allow(): the breaker is
+                # untouched and the condemned member took no traffic
+                assert pool.breakers["g0.r0"].state == "open"
+                assert pool.node_ops["g0.r0"] == 0
+
+        run(main())

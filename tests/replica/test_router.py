@@ -1,8 +1,8 @@
-"""ReplicaRouter: group-name routing, address books, pool construction."""
+"""ShardRouter: group-name routing, address books, pool construction."""
 
 import pytest
 
-from repro.replica import ReplicaRouter, ReplicatedStorePool
+from repro.replica import GroupPool
 from repro.shard.router import ShardRouter
 
 GROUPS = {
@@ -16,21 +16,21 @@ GROUPS = {
 class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            ReplicaRouter({})
+            ShardRouter({})
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError):
-            ReplicaRouter({"g": {}})
+            ShardRouter({"g": {}})
 
     def test_rejects_duplicate_member_names(self):
         with pytest.raises(ValueError):
-            ReplicaRouter({
+            ShardRouter({
                 "a": {"m": ("h", 1)},
                 "b": {"m": ("h", 2)},
             })
 
     def test_replication_is_group_size(self):
-        assert ReplicaRouter(GROUPS).replication == 2
+        assert ShardRouter(GROUPS).replication == 2
 
 
 class TestRouting:
@@ -38,22 +38,22 @@ class TestRouting:
         # the ring is keyed by GROUP name, so key->group here must equal
         # key->shard of a plain ShardRouter over the same names: turning
         # replication on never moves a single key
-        replica = ReplicaRouter(GROUPS)
+        replica = ShardRouter(GROUPS)
         plain = ShardRouter({
             "shard-0": ("127.0.0.1", 1), "shard-1": ("127.0.0.1", 2)
         })
         for i in range(200):
             key = b"key-%d" % i
-            assert replica.group_for(key) == plain.shard_for(key)
+            assert replica.group_for(key) == plain.group_for(key)
 
     def test_endpoints_for_key(self):
-        router = ReplicaRouter(GROUPS)
+        router = ShardRouter(GROUPS)
         key = b"anything"
         group = router.group_for(key)
         assert router.endpoints_for(key) == list(GROUPS[group].values())
 
     def test_update_endpoint_preserves_routing(self):
-        router = ReplicaRouter(GROUPS)
+        router = ShardRouter(GROUPS)
         before = [router.group_for(b"key-%d" % i) for i in range(100)]
         router.update_endpoint("shard-0.r1", "127.0.0.1", 9999)
         after = [router.group_for(b"key-%d" % i) for i in range(100)]
@@ -62,18 +62,18 @@ class TestRouting:
 
     def test_update_unknown_member_raises(self):
         with pytest.raises(KeyError):
-            ReplicaRouter(GROUPS).update_endpoint("nope", "h", 1)
+            ShardRouter(GROUPS).update_endpoint("nope", "h", 1)
 
 
 class TestConnectPool:
     def test_builds_replicated_pool_with_member_breakers(self):
         from repro.resilience.breaker import BreakerPolicy
 
-        router = ReplicaRouter(GROUPS)
+        router = ShardRouter(GROUPS)
         pool = router.connect_pool(
             breaker_policy=BreakerPolicy(), write_quorum=1
         )
-        assert isinstance(pool, ReplicatedStorePool)
+        assert isinstance(pool, GroupPool)
         assert pool.write_quorum == 1
         assert set(pool.clients) == {
             "shard-0.r0", "shard-0.r1", "shard-1.r0", "shard-1.r1"

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.aio.backoff import RetryPolicy
-from repro.replica.pool import ReplicatedStorePool
+from repro.replica.pool import GroupPool
 from repro.shard import ShardSupervisor
 
 RESPAWN_RETRY = RetryPolicy(max_attempts=10, base_delay=0.05, max_delay=1.0)
@@ -56,10 +56,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             ShardSupervisor(num_shards=1, replication=2, write_quorum=3)
 
-    def test_router_refuses_replicated_fleet(self, supervisor):
-        with pytest.raises(RuntimeError):
-            supervisor.router()
-
 
 class TestReplicatedServing:
     def test_connect_pool_is_replicated_and_quorum_writes_land(
@@ -67,7 +63,7 @@ class TestReplicatedServing:
     ):
         async def main():
             pool = supervisor.connect_pool(write_quorum=2)
-            assert isinstance(pool, ReplicatedStorePool)
+            assert isinstance(pool, GroupPool)
             async with pool:
                 for i in range(60):
                     await pool.set(b"qr-%d" % i, b"val-%d" % i, cost=i % 7)

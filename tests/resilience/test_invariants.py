@@ -231,7 +231,7 @@ class TestMultiGetPartialFailure:
                 async with ChaosProxy(*server_a.address, schedule) as proxy:
                     pool = await self.build_two_node_pool(proxy.address, server_b)
                     keys = [b"key-%02d" % i for i in range(40)]
-                    grouped = pool.group_by_node(keys)
+                    grouped = pool.group_keys(keys)
                     assert len(grouped) == 2  # both nodes own some keys
                     await pool.multi_set([(k, b"v-" + k, 1) for k in keys])
 
@@ -270,7 +270,7 @@ class TestMultiGetPartialFailure:
                         proxy.address, server_b, breaker=breaker
                     )
                     keys = [b"key-%02d" % i for i in range(40)]
-                    grouped = pool.group_by_node(keys)
+                    grouped = pool.group_keys(keys)
                     live_keys = set(grouped["node-b"])
                     await pool.multi_set(
                         [(k, b"v", 1) for k in grouped["node-b"]]

@@ -32,13 +32,13 @@ class TestRingAgreement:
         """The router IS the cluster ring — same names, same answers."""
         ring = ConsistentHashRing(list(ENDPOINTS), replicas=100)
         for key in KEYS:
-            assert router.shard_for(key) == ring.node_for(key)
+            assert router.group_for(key) == ring.node_for(key)
 
     def test_matches_async_pool_routing(self, router):
         """connect_pool routes identically (clients are lazy: no sockets)."""
         pool = router.connect_pool()
         for key in KEYS:
-            assert pool.node_for(key) == router.shard_for(key)
+            assert pool.group_for(key) == router.group_for(key)
 
     def test_matches_pool_built_from_same_names(self, router):
         """Any AsyncStorePool over the same names agrees — a sharded
@@ -51,23 +51,23 @@ class TestRingAgreement:
         }
         pool = AsyncStorePool(clients, replicas=100)
         for key in KEYS:
-            assert pool.node_for(key) == router.shard_for(key)
+            assert pool.group_for(key) == router.group_for(key)
 
     def test_every_shard_owns_keys(self, router):
-        owners = {router.shard_for(key) for key in KEYS}
+        owners = {router.group_for(key) for key in KEYS}
         assert owners == set(ENDPOINTS)
 
 
 class TestRestartStability:
     def test_endpoint_update_does_not_move_keys(self, router):
         """A respawned worker on a new port keeps its whole key range."""
-        before = {key: router.shard_for(key) for key in KEYS}
+        before = {key: router.group_for(key) for key in KEYS}
         router.update_endpoint("shard-2", "127.0.0.1", 59999)
-        after = {key: router.shard_for(key) for key in KEYS}
+        after = {key: router.group_for(key) for key in KEYS}
         assert before == after
-        assert router.endpoint_for(
+        assert router.endpoints_for(
             next(k for k, s in before.items() if s == "shard-2")
-        ) == ("127.0.0.1", 59999)
+        ) == [("127.0.0.1", 59999)]
 
     def test_rebuilt_router_assigns_identically(self):
         """Two routers (e.g. before/after a supervisor restart) agree as
@@ -79,7 +79,7 @@ class TestRestartStability:
         }
         second = ShardRouter(moved, replicas=100)
         for key in KEYS:
-            assert first.shard_for(key) == second.shard_for(key)
+            assert first.group_for(key) == second.group_for(key)
 
     def test_unknown_shard_update_rejected(self, router):
         with pytest.raises(KeyError):

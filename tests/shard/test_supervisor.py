@@ -9,7 +9,10 @@ import asyncio
 
 import pytest
 
-from repro.aio.backoff import RetryPolicy
+from repro.aio.backoff import NO_RETRY, RetryPolicy
+from repro.protocol.client import CostAwareClient
+from repro.replica import HybridLogicalClock, QuorumWriteError
+from repro.resilience import BreakerOpenError, BreakerPolicy
 from repro.shard import ShardConfig, ShardSupervisor
 
 
@@ -68,7 +71,7 @@ def test_mixed_workload_round_trips_and_aggregates(supervisor):
 def test_kill_respawn_preserves_endpoint_and_routing(supervisor):
     router_before = supervisor.router()
     keys = [b"route-%d" % i for i in range(200)]
-    assignment_before = {key: router_before.shard_for(key) for key in keys}
+    assignment_before = {key: router_before.group_for(key) for key in keys}
     endpoint_before = supervisor.endpoints()["shard-0"]
 
     supervisor.kill_worker("shard-0")
@@ -77,7 +80,7 @@ def test_kill_respawn_preserves_endpoint_and_routing(supervisor):
     # same endpoint, same names => identical assignment for every client
     assert supervisor.endpoints()["shard-0"] == endpoint_before
     router_after = supervisor.router()
-    assert {key: router_after.shard_for(key) for key in keys} == assignment_before
+    assert {key: router_after.group_for(key) for key in keys} == assignment_before
     assert supervisor.restarts()["shard-0"] >= 1
 
 
@@ -93,7 +96,7 @@ def test_client_retry_rides_out_a_worker_kill(supervisor):
             key = next(
                 k
                 for k in (b"failover-%d" % i for i in range(100))
-                if pool.node_for(k) == "shard-1"
+                if pool.group_for(k) == "shard-1"
             )
             assert await pool.set(key, b"survives", cost=3)
             supervisor.kill_worker("shard-1")
@@ -115,3 +118,56 @@ def test_clean_shutdown_leaves_no_live_workers():
         assert all(pid is not None for pid in pids.values())
         processes = [h.process for h in sup._handles.values()]
     assert all(not p.is_alive() for p in processes)
+
+
+def test_r1_pool_adds_nothing_on_the_wire():
+    """At R=1 the pool is the member's client: a SET carries no version,
+    the pool's clock never ticks, no fan-out task outlives the call, and
+    a dead member's own error comes out — never a QuorumWriteError."""
+    with ShardSupervisor(
+        num_shards=1, memory_limit=4 * 1024 * 1024, slab_size=64 * 1024,
+        respawn=False, monitor_interval=0.05,
+    ) as sup:
+        (name, (host, port)), = sup.endpoints().items()
+
+        class CountingClock(HybridLogicalClock):
+            ticks = 0
+
+            def tick(self):
+                CountingClock.ticks += 1
+                return super().tick()
+
+        async def write():
+            async with sup.connect_pool(hlc=CountingClock()) as pool:
+                assert await pool.set(b"plain", b"v", cost=4)
+                assert await pool.multi_set([(b"batch", b"w", 2)]) == 1
+                assert CountingClock.ticks == 0
+                assert not pool._pending
+                assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        asyncio.run(write())
+        client = CostAwareClient.tcp(host, port)
+        try:
+            entries = {e[0]: e for e in client.key_entries(0, 1).entries}
+        finally:
+            client.close()
+        assert entries[b"plain"][1:3] == (0, 4)  # no version, cost kept
+        assert entries[b"batch"][1:3] == (0, 2)
+
+        sup.kill_worker(name)
+        sup._handles[name].process.join(timeout=5)
+
+        async def write_to_dead_member():
+            async with sup.connect_pool(
+                retry=NO_RETRY,
+                breaker_policy=BreakerPolicy(
+                    failure_threshold=1, recovery_time=60.0
+                ),
+            ) as pool:
+                with pytest.raises(ConnectionError) as first:
+                    await pool.set(b"plain", b"v")
+                assert not isinstance(first.value, QuorumWriteError)
+                with pytest.raises(BreakerOpenError):
+                    await pool.set(b"plain", b"v")
+
+        asyncio.run(write_to_dead_member())

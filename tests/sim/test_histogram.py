@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.histogram import LatencyHistogram
+from repro.obs.histogram import LatencyHistogram
 
 
 class TestBasics:
