@@ -6,7 +6,9 @@ driver loop (one Python call per request for key bytes, cost lookup, value
 construction, clock advance, and request-log recording) driving a store
 whose GET/SET bodies, hash-table probe, item constructor, and policy
 touch/insert methods carry the old, un-inlined implementations.  The
-frozen pieces are subclasses pinning the old method bodies, so workload
+frozen pieces are subclasses pinning the old method bodies — except the
+hash table, a full copy of the chained table the live store has since
+replaced with a ``dict`` index — so workload
 generation, slab accounting, eviction logic, and result summarization stay
 shared with the live code — the A/B difference is exactly the hot-path
 work this PR removed.
@@ -21,13 +23,14 @@ from __future__ import annotations
 
 import heapq
 import time
+from typing import Iterator, List, Optional
 
 from repro.core.gdpq import GDPQPolicy
 from repro.core.gdwheel import GDWheelPolicy
 from repro.core.lru import LRUPolicy
 from repro.core.policy import EvictionError, PolicyEntry
 from repro.kvstore import KVStore, SimClock
-from repro.kvstore.hashtable import HashTable
+from repro.kvstore.hashtable import fnv1a_64
 from repro.kvstore.item import ITEM_HEADER_SIZE, Item, NEVER_EXPIRES
 from repro.obs.reporter import diff_snapshots
 from repro.sim.driver import (
@@ -138,18 +141,162 @@ class FrozenGDPQPolicy(GDPQPolicy):
         raise EvictionError("GD-PQ tracks no entries")
 
 
-class FrozenHashTable(HashTable):
-    """Hash table with the old find() (always through _locate)."""
+class FrozenHashTable:
+    """Verbatim copy of the chained hash table the live store used to index
+    with (power-of-two buckets chained through ``h_next``, incremental
+    doubling), with the old find() that always goes through _locate."""
 
-    def find(self, key: bytes):
+    #: old buckets migrated per mutating operation while expanding
+    MIGRATE_BATCH = 4
+
+    def __init__(
+        self,
+        initial_power: int = 10,
+        load_factor: float = 1.5,
+        hash_func=fnv1a_64,
+    ) -> None:
+        """
+        Args:
+            initial_power: table starts with ``2**initial_power`` buckets
+                (memcached's default power is 16; tests use smaller).
+            load_factor: expansion threshold (items / buckets).
+            hash_func: bytes -> int.  FNV-1a by default (memcached's
+                historical choice); simulations may pass the built-in
+                ``hash`` for speed — bucket layout never affects results.
+        """
+        if initial_power < 1:
+            raise ValueError("initial_power must be >= 1")
+        self._hash = hash_func
+        self._power = initial_power
+        self._buckets: List[Optional[Item]] = [None] * (1 << initial_power)
+        self._old_buckets: Optional[List[Optional[Item]]] = None
+        self._migrate_pos = 0
+        self._count = 0
+        self._load_factor = load_factor
+        #: number of completed expansions (observability)
+        self.expansions = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def num_buckets(self) -> int:
+        return len(self._buckets)
+
+    @property
+    def expanding(self) -> bool:
+        return self._old_buckets is not None
+
+    # -- internals ---------------------------------------------------------------
+
+    def _bucket_index(self, hashval: int, buckets: List[Optional[Item]]) -> int:
+        return hashval & (len(buckets) - 1)
+
+    def _locate(self, key: bytes, hashval: int):
+        """Return (bucket_list, index, prev_item, item) for ``key``."""
+        # While expanding, a key lives in the old table if its old bucket has
+        # not been migrated yet.
+        if self._old_buckets is not None:
+            old_idx = self._bucket_index(hashval, self._old_buckets)
+            if old_idx >= self._migrate_pos:
+                buckets, idx = self._old_buckets, old_idx
+            else:
+                buckets, idx = self._buckets, self._bucket_index(hashval, self._buckets)
+        else:
+            buckets, idx = self._buckets, self._bucket_index(hashval, self._buckets)
+        prev: Optional[Item] = None
+        item = buckets[idx]
+        while item is not None:
+            if item.key == key:
+                return buckets, idx, prev, item
+            prev, item = item, item.h_next
+        return buckets, idx, None, None
+
+    def _maybe_start_expansion(self) -> None:
+        if self._old_buckets is not None:
+            return
+        if self._count <= self._load_factor * len(self._buckets):
+            return
+        self._old_buckets = self._buckets
+        self._buckets = [None] * (len(self._old_buckets) * 2)
+        self._power += 1
+        self._migrate_pos = 0
+
+    def _migrate_some(self) -> None:
+        if self._old_buckets is None:
+            return
+        batch = self.MIGRATE_BATCH
+        old = self._old_buckets
+        while batch > 0 and self._migrate_pos < len(old):
+            item = old[self._migrate_pos]
+            while item is not None:
+                nxt = item.h_next
+                idx = self._bucket_index(self._hash(item.key), self._buckets)
+                item.h_next = self._buckets[idx]
+                self._buckets[idx] = item
+                item = nxt
+            old[self._migrate_pos] = None
+            self._migrate_pos += 1
+            batch -= 1
+        if self._migrate_pos >= len(old):
+            self._old_buckets = None
+            self._migrate_pos = 0
+            self.expansions += 1
+
+    # -- public API ----------------------------------------------------------------
+
+    def find(self, key: bytes) -> Optional[Item]:
+        """Look up ``key``; returns the item or ``None``."""
         _, _, _, item = self._locate(key, self._hash(key))
         return item
 
+    def insert(self, item: Item) -> None:
+        """Insert a new item.  The key must not already be present."""
+        hashval = self._hash(item.key)
+        buckets, idx, _, existing = self._locate(item.key, hashval)
+        if existing is not None:
+            raise KeyError(f"duplicate key {item.key!r}")
+        item.h_next = buckets[idx]
+        buckets[idx] = item
+        self._count += 1
+        self._maybe_start_expansion()
+        self._migrate_some()
+
+    def delete(self, key: bytes) -> Optional[Item]:
+        """Remove and return the item for ``key``, or ``None``."""
+        buckets, idx, prev, item = self._locate(key, self._hash(key))
+        if item is None:
+            return None
+        if prev is None:
+            buckets[idx] = item.h_next
+        else:
+            prev.h_next = item.h_next
+        item.h_next = None
+        self._count -= 1
+        self._migrate_some()
+        return item
+
+    def __contains__(self, key: bytes) -> bool:
+        return self.find(key) is not None
+
+    def items(self) -> Iterator[Item]:
+        """Iterate all items (unordered); O(buckets + items)."""
+        tables = [self._buckets]
+        if self._old_buckets is not None:
+            tables.append(self._old_buckets)
+        for table in tables:
+            for head in table:
+                item = head
+                while item is not None:
+                    yield item
+                    item = item.h_next
+
 
 class FrozenItem(Item):
-    """Item with the old super().__init__ construction chain."""
+    """Item with the old super().__init__ construction chain and the
+    hash-chain link the frozen table threads through."""
 
-    __slots__ = ()
+    __slots__ = ("h_next",)
 
     def __init__(self, key, value, cost=0, flags=0, exptime=NEVER_EXPIRES):
         if not isinstance(key, bytes):
@@ -173,16 +320,14 @@ class FrozenKVStore(KVStore):
     """KVStore with the old GET/SET bodies (property-backed stats bumps,
     clock reads through the ``now`` property, un-inlined hash probe)."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, hash_power=10, hash_func=None, **kwargs):
         super().__init__(*args, **kwargs)
-        hash_func = kwargs.get("hash_func")
-        power = kwargs.get("hash_power", 10)
         if hash_func is not None:
             self.hashtable = FrozenHashTable(
-                initial_power=power, hash_func=hash_func
+                initial_power=hash_power, hash_func=hash_func
             )
         else:
-            self.hashtable = FrozenHashTable(initial_power=power)
+            self.hashtable = FrozenHashTable(initial_power=hash_power)
 
     def get(self, key):
         on_request = self._on_request
@@ -211,7 +356,9 @@ class FrozenKVStore(KVStore):
         policy.touch(item)
         return item
 
-    def _store_item(self, key, value, cost, exptime, flags):
+    def _store_item(self, key, value, cost, exptime, flags, version=0):
+        # the live set() now passes ``version`` (always 0 in the simulator);
+        # it is accepted so set() can reach this frozen body, and ignored
         old = self.hashtable.find(key)
         if old is not None:
             self._unlink_item(old, old.slab.owner)

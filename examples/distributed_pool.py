@@ -54,7 +54,7 @@ def main() -> None:
     pool.add_store(
         "node4",
         KVStore(memory_limit=512 * 1024, slab_size=64 * 1024,
-                policy_factory=GDWheelPolicy, hash_func=hash),
+                policy_factory=GDWheelPolicy),
     )
     moved = sum(1 for key in keys if pool.store_for(key) is not before[key])
     print(f"\nscale-out to 5 nodes: {moved / len(keys) * 100:.1f}% of keys "

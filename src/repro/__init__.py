@@ -6,7 +6,7 @@ Key-Value Stores* (EuroSys 2015) as a pure-Python system:
 * :mod:`repro.core` — the GD-Wheel policy (Hierarchical Cost Wheels) and
   every comparator: GD-PQ, naive GreedyDual, LRU, CLOCK, random, GDS/GDSF,
   CAMP, 2Q, ARC, LRU-K, and offline bounds.
-* :mod:`repro.kvstore` — a memcached-like store: chained hash table, slab
+* :mod:`repro.kvstore` — a memcached-like store: a ``dict`` key index, slab
   allocator, cost-carrying items, and the original + cost-aware slab
   rebalancers.
 * :mod:`repro.protocol` — the memcached text protocol with the paper's

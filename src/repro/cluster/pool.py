@@ -166,7 +166,6 @@ def make_uniform_pool(
             slab_size=slab_size,
             policy_factory=policy_factory,
             clock=clock,
-            hash_func=hash,
         )
         for i in range(num_stores)
     }

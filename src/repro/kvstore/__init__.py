@@ -1,7 +1,7 @@
 """The memcached-like key-value store substrate.
 
 Everything Section 4 of the paper touches: item metadata with the 2-byte
-cost field, the chained hash-table index, the slab allocator with its size
+cost field, the key index (a ``dict``), the slab allocator with its size
 classes, the store facade with memcached's command set, and the two slab
 rebalancing policies of Section 5.
 """

@@ -1,18 +1,18 @@
-"""Chained hash table with incremental expansion — memcached's ``assoc``.
+"""The store's key index — memcached's ``assoc``, as a ``dict``.
 
-The index half of Figure 5: a power-of-two array of buckets, each a singly
-linked chain through ``Item.h_next``.  Like memcached's ``assoc_insert`` /
-``assoc_expand``, the table doubles when the load factor passes 1.5 and the
-old buckets are migrated *incrementally* (a fixed number of old buckets per
-subsequent operation) so no single request pays an O(n) rehash — the same
-"keep every operation constant time" discipline that motivates GD-Wheel.
+memcached keeps its items in a chained hash table written in C; the
+Python analogue of that is the built-in ``dict``, whose C hashing and
+open addressing already give O(1) probes and amortized-O(1) growth.  The
+index maps key bytes to the :class:`Item` holding them.
 
-Hashing uses FNV-1a over the key bytes, memcached's historical default.
+:func:`fnv1a_64` is kept for the places where a hash must agree across
+processes (Python's ``hash`` of bytes is salted per process): anti-entropy
+digest slots and replica primary rotation.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.kvstore.item import Item
 
@@ -30,160 +30,33 @@ def fnv1a_64(data: bytes) -> int:
 
 
 class HashTable:
-    """Chained hash table over :class:`Item` with incremental doubling."""
+    """Key bytes -> :class:`Item`."""
 
-    #: old buckets migrated per mutating operation while expanding
-    MIGRATE_BATCH = 4
+    __slots__ = ("_items", "find")
 
-    def __init__(
-        self,
-        initial_power: int = 10,
-        load_factor: float = 1.5,
-        hash_func=fnv1a_64,
-    ) -> None:
-        """
-        Args:
-            initial_power: table starts with ``2**initial_power`` buckets
-                (memcached's default power is 16; tests use smaller).
-            load_factor: expansion threshold (items / buckets).
-            hash_func: bytes -> int.  FNV-1a by default (memcached's
-                historical choice); simulations may pass the built-in
-                ``hash`` for speed — bucket layout never affects results.
-        """
-        if initial_power < 1:
-            raise ValueError("initial_power must be >= 1")
-        self._hash = hash_func
-        self._power = initial_power
-        self._buckets: List[Optional[Item]] = [None] * (1 << initial_power)
-        self._old_buckets: Optional[List[Optional[Item]]] = None
-        self._migrate_pos = 0
-        self._count = 0
-        self._load_factor = load_factor
-        #: number of completed expansions (observability)
-        self.expansions = 0
+    def __init__(self) -> None:
+        self._items: Dict[bytes, Item] = {}
+        #: ``find(key)`` -> the item or ``None`` (``dict.get``, bound once)
+        self.find = self._items.get
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._items)
 
-    @property
-    def num_buckets(self) -> int:
-        return len(self._buckets)
-
-    @property
-    def expanding(self) -> bool:
-        return self._old_buckets is not None
-
-    # -- internals ---------------------------------------------------------------
-
-    def _bucket_index(self, hashval: int, buckets: List[Optional[Item]]) -> int:
-        return hashval & (len(buckets) - 1)
-
-    def _locate(self, key: bytes, hashval: int):
-        """Return (bucket_list, index, prev_item, item) for ``key``."""
-        # While expanding, a key lives in the old table if its old bucket has
-        # not been migrated yet.
-        if self._old_buckets is not None:
-            old_idx = self._bucket_index(hashval, self._old_buckets)
-            if old_idx >= self._migrate_pos:
-                buckets, idx = self._old_buckets, old_idx
-            else:
-                buckets, idx = self._buckets, self._bucket_index(hashval, self._buckets)
-        else:
-            buckets, idx = self._buckets, self._bucket_index(hashval, self._buckets)
-        prev: Optional[Item] = None
-        item = buckets[idx]
-        while item is not None:
-            if item.key == key:
-                return buckets, idx, prev, item
-            prev, item = item, item.h_next
-        return buckets, idx, None, None
-
-    def _maybe_start_expansion(self) -> None:
-        if self._old_buckets is not None:
-            return
-        if self._count <= self._load_factor * len(self._buckets):
-            return
-        self._old_buckets = self._buckets
-        self._buckets = [None] * (len(self._old_buckets) * 2)
-        self._power += 1
-        self._migrate_pos = 0
-
-    def _migrate_some(self) -> None:
-        if self._old_buckets is None:
-            return
-        batch = self.MIGRATE_BATCH
-        old = self._old_buckets
-        while batch > 0 and self._migrate_pos < len(old):
-            item = old[self._migrate_pos]
-            while item is not None:
-                nxt = item.h_next
-                idx = self._bucket_index(self._hash(item.key), self._buckets)
-                item.h_next = self._buckets[idx]
-                self._buckets[idx] = item
-                item = nxt
-            old[self._migrate_pos] = None
-            self._migrate_pos += 1
-            batch -= 1
-        if self._migrate_pos >= len(old):
-            self._old_buckets = None
-            self._migrate_pos = 0
-            self.expansions += 1
-
-    # -- public API ----------------------------------------------------------------
-
-    def find(self, key: bytes) -> Optional[Item]:
-        """Look up ``key``; returns the item or ``None``."""
-        # Steady state (no expansion in flight) walks the chain inline —
-        # find() is the single hottest call in the simulation driver and
-        # the _locate/_bucket_index detour costs two frames per probe.
-        if self._old_buckets is None:
-            buckets = self._buckets
-            item = buckets[self._hash(key) & (len(buckets) - 1)]
-            while item is not None:
-                if item.key == key:
-                    return item
-                item = item.h_next
-            return None
-        _, _, _, item = self._locate(key, self._hash(key))
-        return item
+    def __contains__(self, key: bytes) -> bool:
+        return key in self._items
 
     def insert(self, item: Item) -> None:
         """Insert a new item.  The key must not already be present."""
-        hashval = self._hash(item.key)
-        buckets, idx, _, existing = self._locate(item.key, hashval)
-        if existing is not None:
-            raise KeyError(f"duplicate key {item.key!r}")
-        item.h_next = buckets[idx]
-        buckets[idx] = item
-        self._count += 1
-        self._maybe_start_expansion()
-        self._migrate_some()
+        items = self._items
+        key = item.key
+        if key in items:
+            raise KeyError(f"duplicate key {key!r}")
+        items[key] = item
 
     def delete(self, key: bytes) -> Optional[Item]:
         """Remove and return the item for ``key``, or ``None``."""
-        buckets, idx, prev, item = self._locate(key, self._hash(key))
-        if item is None:
-            return None
-        if prev is None:
-            buckets[idx] = item.h_next
-        else:
-            prev.h_next = item.h_next
-        item.h_next = None
-        self._count -= 1
-        self._migrate_some()
-        return item
-
-    def __contains__(self, key: bytes) -> bool:
-        return self.find(key) is not None
+        return self._items.pop(key, None)
 
     def items(self) -> Iterator[Item]:
-        """Iterate all items (unordered); O(buckets + items)."""
-        tables = [self._buckets]
-        if self._old_buckets is not None:
-            tables.append(self._old_buckets)
-        for table in tables:
-            for head in table:
-                item = head
-                while item is not None:
-                    yield item
-                    item = item.h_next
+        """Iterate all items (unordered)."""
+        return iter(self._items.values())

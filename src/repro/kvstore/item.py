@@ -4,7 +4,6 @@ Each cached key-value pair carries (Section 4.1 of the paper):
 
 * the key and value (here kept as ``bytes``),
 * sizes, an expiration time, and flags,
-* hash-chain linkage (``h_next``) for the chained hash table,
 * replacement-policy linkage (inherited from :class:`PolicyEntry` — the
   intrusive list node plus the policy's bookkeeping fields), and
 * the paper's addition: a **cost** field.  The paper uses 2 bytes; because
@@ -14,6 +13,9 @@ Each cached key-value pair carries (Section 4.1 of the paper):
 ``ITEM_HEADER_SIZE`` mirrors the 64-bit memcached header: 48 bytes of
 pointers/sizes/times plus suffix bookkeeping, rounded to 56.  An item's
 *footprint* (what the slab allocator charges) is header + key + value.
+memcached's header also holds the item's hash-chain link; here the index
+is a ``dict`` (:mod:`repro.kvstore.hashtable`), so an item carries no index
+linkage, but the modelled header size keeps those bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class Item(PolicyEntry):
         "value",
         "flags",
         "exptime",
-        "h_next",
         "slab",
         "chunk_index",
         "last_access",
@@ -76,8 +77,6 @@ class Item(PolicyEntry):
         self.flags = flags
         #: absolute expiry time on the simulated clock; 0 = never
         self.exptime = exptime
-        #: next item in the hash-table chain
-        self.h_next: Optional[Item] = None
         #: the slab currently housing this item (set by the allocator)
         self.slab = None
         #: chunk index within the slab (set by the allocator)

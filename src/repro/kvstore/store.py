@@ -1,11 +1,11 @@
 """The key-value store facade — a memcached work-alike in simulation.
 
-Wires together the chained hash table (the index), the slab allocator (the
-memory), one replacement policy instance per slab class (the paper replaces
-each class's LRU with GD-Wheel, Section 4.3), and a slab rebalancer
-(Section 5).  The public operations mirror memcached's command set: GET,
-SET, ADD, REPLACE, DELETE, TOUCH, FLUSH_ALL — with the paper's protocol
-extension that SET may carry a recomputation **cost**.
+Wires together the key index (a ``dict``; see :mod:`repro.kvstore.hashtable`),
+the slab allocator (the memory), one replacement policy instance per slab
+class (the paper replaces each class's LRU with GD-Wheel, Section 4.3), and
+a slab rebalancer (Section 5).  The public operations mirror memcached's
+command set: GET, SET, ADD, REPLACE, DELETE, TOUCH, FLUSH_ALL — with the
+paper's protocol extension that SET may carry a recomputation **cost**.
 
 Eviction flow on SET (Figure 6): find the item's slab class; take a free
 chunk; failing that, allocate a new slab while under the memory limit;
@@ -59,8 +59,6 @@ class KVStore:
         growth_factor: float = DEFAULT_GROWTH_FACTOR,
         min_chunk_size: int = DEFAULT_MIN_CHUNK,
         clock: Optional[SimClock] = None,
-        hash_power: int = 10,
-        hash_func=None,
         registry: Optional[MetricsRegistry] = None,
         trace: Optional[EventTrace] = None,
         tier=None,
@@ -76,7 +74,6 @@ class KVStore:
             rebalancer: slab rebalancing policy; default is none.
             slab_size / growth_factor / min_chunk_size: allocator geometry.
             clock: shared simulated clock (created if omitted).
-            hash_power: initial hash-table size is ``2**hash_power`` buckets.
             registry: metrics registry for counters/latency histograms; a
                 private one is created when omitted (counters always work).
                 Pass a :class:`~repro.obs.registry.NullRegistry` to make
@@ -107,10 +104,7 @@ class KVStore:
             growth_factor=growth_factor,
             min_chunk_size=min_chunk_size,
         )
-        if hash_func is not None:
-            self.hashtable = HashTable(initial_power=hash_power, hash_func=hash_func)
-        else:
-            self.hashtable = HashTable(initial_power=hash_power)
+        self.hashtable = HashTable()
         self._policy_factory = policy_factory
         self._policies: dict = {}  # class_id -> ReplacementPolicy
         self.rebalancer = rebalancer if rebalancer is not None else NullRebalancer()
@@ -810,7 +804,10 @@ class KVStore:
                 f"item counts diverge: hash={hash_count} "
                 f"policy={policy_count} alloc={alloc_count}"
             )
+        find = self.hashtable.find
         for item in self.hashtable.items():
+            if find(item.key) is not item:
+                raise AssertionError(f"index does not map its key to {item!r}")
             if item.slab is None or item.slab.owner is None:
                 raise AssertionError(f"indexed item has no slab: {item!r}")
             if item.slab.items.get(item.chunk_index) is not item:

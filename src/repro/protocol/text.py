@@ -33,6 +33,7 @@ included), suitable for feeding raw socket reads.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, List, Optional, Union
 
 from repro.protocol.commands import (
@@ -94,10 +95,14 @@ Command = Union[
 _STORAGE_VERBS = (b"set", b"add", b"replace", b"append", b"prepend", b"cas")
 
 
+#: bytes a key may not contain: space, control characters and DEL
+_BAD_KEY_BYTE = re.compile(rb"[\x00-\x20\x7f]")
+
+
 def _validate_key(key: bytes) -> bytes:
     if not key or len(key) > MAX_KEY_LENGTH:
         raise ProtocolError(f"bad key length {len(key)}")
-    if any(c <= 32 or c == 127 for c in key):
+    if _BAD_KEY_BYTE.search(key) is not None:
         raise ProtocolError("key contains whitespace or control characters")
     return key
 

@@ -71,7 +71,6 @@ class ShardConfig:
     slab_size: int = DEFAULT_SLAB_SIZE
     growth_factor: float = DEFAULT_GROWTH_FACTOR
     min_chunk_size: int = DEFAULT_MIN_CHUNK
-    hash_power: int = 10
     max_connections: Optional[int] = None
     #: flash-tier capacity per shard; 0 = no tier
     tier_bytes: int = 0
@@ -174,7 +173,6 @@ def build_store(config: ShardConfig) -> KVStore:
         slab_size=config.slab_size,
         growth_factor=config.growth_factor,
         min_chunk_size=config.min_chunk_size,
-        hash_power=config.hash_power,
         trace=trace,
         tier=tier,
         hlc=hlc,

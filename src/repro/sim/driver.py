@@ -229,8 +229,6 @@ def run_simulation(config: SimConfig) -> SimResult:
         rebalancer=rebalancer,
         slab_size=config.slab_size,
         clock=clock,
-        hash_power=14,
-        hash_func=hash,  # layout-only choice; FNV is 20x slower in Python
         tier=tier,
     )
 

@@ -323,8 +323,15 @@ class FlashTier:
         return removed
 
     def close(self) -> None:
-        """Flush and close segment file handles (contents stay on disk)."""
+        """Flush and close segment file handles and drop the in-RAM index.
+
+        The contents stay on disk.  A closed tier is empty; to reopen it,
+        build a new :class:`FlashTier` on the same directory, which
+        recovers the mapping from the segments.
+        """
         self.segments.close()
+        self.mapping.clear()
+        self.cmt.clear()
         self._active = None
 
     def snapshot(self) -> dict:

@@ -1,7 +1,8 @@
-"""Chained hash table tests, including a stateful model comparison."""
+"""Key-index tests (FNV-1a vectors, the dict-backed table, a stateful
+model comparison)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import settings, strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from repro.kvstore import HashTable, Item, fnv1a_64
@@ -24,12 +25,12 @@ class TestFNV:
 
 class TestBasics:
     def test_find_missing_returns_none(self):
-        table = HashTable(initial_power=2)
+        table = HashTable()
         assert table.find(b"nope") is None
         assert b"nope" not in table
 
     def test_insert_then_find(self):
-        table = HashTable(initial_power=2)
+        table = HashTable()
         item = make_item(b"k1")
         table.insert(item)
         assert table.find(b"k1") is item
@@ -37,13 +38,13 @@ class TestBasics:
         assert len(table) == 1
 
     def test_duplicate_insert_rejected(self):
-        table = HashTable(initial_power=2)
+        table = HashTable()
         table.insert(make_item(b"k1"))
         with pytest.raises(KeyError):
             table.insert(make_item(b"k1"))
 
     def test_delete_returns_item(self):
-        table = HashTable(initial_power=2)
+        table = HashTable()
         item = make_item(b"k1")
         table.insert(item)
         assert table.delete(b"k1") is item
@@ -51,73 +52,24 @@ class TestBasics:
         assert len(table) == 0
 
     def test_delete_missing_returns_none(self):
-        table = HashTable(initial_power=2)
+        table = HashTable()
         assert table.delete(b"nope") is None
 
-    def test_chain_collisions_resolved(self):
-        # power 1 = 2 buckets: plenty of collisions among 20 keys
-        table = HashTable(initial_power=1)
-        items = [make_item(f"key-{i}".encode()) for i in range(20)]
-        for item in items:
-            table.insert(item)
-        for item in items:
-            assert table.find(item.key) is item
-
     def test_items_iterates_everything(self):
-        table = HashTable(initial_power=2)
+        table = HashTable()
         keys = {f"key-{i}".encode() for i in range(50)}
         for key in keys:
             table.insert(make_item(key))
         assert {item.key for item in table.items()} == keys
 
 
-class TestIncrementalExpansion:
-    def test_expansion_triggers_and_completes(self):
-        table = HashTable(initial_power=2, load_factor=1.5)
-        for i in range(200):
-            table.insert(make_item(f"key-{i}".encode()))
-        assert table.expansions >= 1
-        assert table.num_buckets > 4
-        for i in range(200):
-            assert table.find(f"key-{i}".encode()) is not None
-
-    def test_lookups_work_mid_expansion(self):
-        table = HashTable(initial_power=4, load_factor=1.5)
-        keys = [f"key-{i}".encode() for i in range(25)]
-        for key in keys:
-            table.insert(make_item(key))
-        # 25 > 1.5 * 16 buckets: expansion started; the migration batch (4
-        # old buckets per op) has not finished the 16 old buckets yet
-        assert table.expanding
-        for key in keys:
-            assert table.find(key) is not None
-
-    def test_delete_mid_expansion(self):
-        table = HashTable(initial_power=4, load_factor=1.5)
-        keys = [f"key-{i}".encode() for i in range(25)]
-        for key in keys:
-            table.insert(make_item(key))
-        assert table.expanding
-        for key in keys:
-            assert table.delete(key) is not None
-        assert len(table) == 0
-
-    def test_pluggable_hash_function(self):
-        table = HashTable(initial_power=2, hash_func=lambda b: len(b))
-        # every same-length key collides; correctness must not care
-        for i in range(10, 20):
-            table.insert(make_item(f"{i:04d}".encode()))
-        assert len(table) == 10
-        assert table.find(b"0015") is not None
-
-
 class HashTableMachine(RuleBasedStateMachine):
     """Stateful property test: the table behaves like a dict under any
-    interleaving of inserts, deletes, and lookups, across expansions."""
+    interleaving of inserts, deletes, and lookups."""
 
     def __init__(self):
         super().__init__()
-        self.table = HashTable(initial_power=1, load_factor=1.5)
+        self.table = HashTable()
         self.model = {}
 
     keys = Bundle("keys")

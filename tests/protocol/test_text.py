@@ -20,6 +20,7 @@ from repro.protocol import (
     encode_command,
     encode_response,
 )
+from repro.protocol.text import MAX_KEY_LENGTH, _validate_key
 
 
 def parse_one(data: bytes):
@@ -130,6 +131,25 @@ class TestMalformedInput:
         parser.feed(line)
         with pytest.raises(ProtocolError):
             list(parser)
+
+    def test_key_byte_set_is_pinned(self):
+        # exactly space, the C0 controls and DEL are refused, anywhere in
+        # the key; every other byte value (0x80-0xff included) is legal
+        refused = set(range(0x21)) | {0x7F}
+        for byte in range(256):
+            for key in (bytes([byte]), b"a" + bytes([byte]) + b"z"):
+                if byte in refused:
+                    with pytest.raises(ProtocolError):
+                        _validate_key(key)
+                else:
+                    assert _validate_key(key) is key
+
+    def test_key_length_bounds(self):
+        with pytest.raises(ProtocolError):
+            _validate_key(b"")
+        assert _validate_key(b"k" * MAX_KEY_LENGTH) == b"k" * MAX_KEY_LENGTH
+        with pytest.raises(ProtocolError):
+            _validate_key(b"k" * (MAX_KEY_LENGTH + 1))
 
     def test_bad_data_terminator(self):
         parser = RequestParser()

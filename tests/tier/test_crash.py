@@ -113,6 +113,36 @@ def test_double_reopen_is_stable(tmp_path):
     second.close()
 
 
+def test_close_releases_index_and_reopen_recovers_costs(tmp_path):
+    """close() empties the in-RAM index; a new tier on the same directory
+    serves every record that was live, with its latest cost."""
+    tier_dir = tmp_path / "tier"
+    config = TierConfig(capacity_bytes=64 * 1024, segment_bytes=8 * 1024)
+    tier = FlashTier(tier_dir, config)
+    for i in range(60):
+        key = f"k{i:03d}".encode()
+        assert tier.spill(key, expected_value(key), cost=10 + i)
+    for i in range(0, 60, 3):  # re-spill a third with a new cost
+        key = f"k{i:03d}".encode()
+        assert tier.spill(key, expected_value(key), cost=500 + i)
+    live = {key: entry.cost for page in tier.mapping._pages.values()
+            for key, entry in page.items()}
+    assert len(live) == 60
+    assert tier.lookup(b"k001").cost == 11  # warms a CMT page
+    tier.close()
+    assert len(tier) == 0
+    assert len(tier.cmt) == 0
+
+    reopened = FlashTier(tier_dir, config)
+    assert len(reopened) == len(live)
+    for key, cost in live.items():
+        record = reopened.lookup(key)
+        assert record is not None, f"live key {key!r} lost across close"
+        assert record.value == expected_value(key)
+        assert record.cost == cost
+    reopened.close()
+
+
 def test_shard_worker_killed_mid_spill(tmp_path):
     """Chaos: SIGKILL a tiered shard worker under write load; the respawn
     must recover the tier directory and serve consistent values."""
