@@ -3,9 +3,9 @@
 The simulation side of the reproduction measures *policies*; this package
 is the serving layer the paper's throughput/latency figures (7-9) assume:
 a real networked store multiplexing many client connections.  One event
-loop replaces the thread-per-connection model, and both ends of the wire
-run on low-level ``BufferedProtocol`` transports (zero-copy receive,
-callback-driven backpressure):
+loop per process serves every connection to its store, and both ends of
+the wire run on low-level ``BufferedProtocol`` transports (zero-copy
+receive, callback-driven backpressure):
 
 * :class:`AsyncTCPStoreServer` — asyncio TCP server over the same
   byte-in/byte-out :class:`~repro.protocol.server.StoreServer` dispatcher,

@@ -276,7 +276,7 @@ class AsyncTCPStoreServer:
 
     Args:
         store: the backing :class:`KVStore` (or pass ``engine=`` to share a
-            prebuilt :class:`StoreServer`, e.g. with the threaded server).
+            prebuilt :class:`StoreServer`, e.g. with a loopback connection).
         host/port: bind address; port 0 binds an ephemeral port, exposed
             via :attr:`address` once started.
         max_connections: beyond this many concurrent connections, new

@@ -7,7 +7,6 @@ rebalancing policies of Section 5.
 """
 
 from repro.kvstore.clock import SimClock
-from repro.kvstore.concurrent import ThreadSafeStore
 from repro.kvstore.errors import (
     CasMismatchError,
     NotStoredError,
@@ -60,6 +59,5 @@ __all__ = [
     "SlabError",
     "StoreError",
     "StoreStats",
-    "ThreadSafeStore",
     "fnv1a_64",
 ]

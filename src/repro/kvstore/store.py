@@ -155,8 +155,8 @@ class KVStore:
         """Shadow each public op with a timed wrapper (instance attributes).
 
         ``decr`` is left alone — it delegates to ``incr``, which is already
-        timed.  Composition wrappers (:class:`ThreadSafeStore`, the protocol
-        servers) call through the instance attribute and are timed too.
+        timed.  Callers that hold the store (the protocol servers) call
+        through the instance attribute and are timed too.
         """
         for op in self._TIMED_OPS:
             hist = self.metrics.histogram(
@@ -425,8 +425,7 @@ class KVStore:
         The per-key semantics are exactly :meth:`get` (expiry, policy
         touch, tier promotion, stats); the vectored form exists so the
         serving layer can dispatch a whole MGET frame in one store call —
-        one lock acquisition on a :class:`ThreadSafeStore`, one dispatch
-        entry on the protocol engine.
+        one dispatch entry on the protocol engine.
         """
         get = self.get
         return [get(key) for key in keys]

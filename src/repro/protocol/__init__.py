@@ -45,7 +45,6 @@ from repro.protocol.server import (
     LoopbackConnection,
     StoreConnection,
     StoreServer,
-    TCPStoreServer,
 )
 from repro.protocol.sockopt import SOCKET_BUFFER, tune_socket
 from repro.protocol.text import (
@@ -88,7 +87,6 @@ __all__ = [
     "StoreCommand",
     "StoreConnection",
     "StoreServer",
-    "TCPStoreServer",
     "TCPTransport",
     "TOUCHED",
     "TouchCommand",

@@ -415,14 +415,6 @@ class BinaryStoreServer:
             return bytes(out), False
         return bytes(out), True
 
-    def _get_many(self, keys):
-        """Vectored read: one store call for the batch when supported."""
-        get_many = getattr(self.store, "get_many", None)
-        if get_many is not None:
-            return get_many(keys)
-        get = self.store.get
-        return [get(key) for key in keys]
-
     def dispatch(self, frame: BinaryFrame) -> Tuple[Optional[BinaryFrame], bool]:
         store = self.store
         op = frame.opcode
@@ -468,9 +460,9 @@ class BinaryStoreServer:
                     parent_id=context.span_id, cmd="mget", proto="binary",
                     nkeys=len(keys),
                 ):
-                    items = self._get_many(keys)
+                    items = store.get_many(keys)
             else:
-                items = self._get_many(keys)
+                items = store.get_many(keys)
             return (
                 response(op, value=pack_mget_reply_value(keys, items),
                          opaque=opq),
@@ -488,20 +480,8 @@ class BinaryStoreServer:
                  now + exptime if exptime else NEVER_EXPIRES, flags)
                 for key, flags, exptime, cost, value in items
             ]
-            set_many = getattr(store, "set_many", None)
-            if set_many is not None:
-                results = set_many(entries)
-            else:
-                results = []
-                for key, value, cost, abs_exptime, flags in entries:
-                    try:
-                        results.append(store.set(key, value, cost=cost,
-                                                 exptime=abs_exptime,
-                                                 flags=flags))
-                    except (ObjectTooLargeError, OutOfMemoryError) as exc:
-                        results.append(exc)
             statuses = []
-            for result in results:
+            for result in store.set_many(entries):
                 if isinstance(result, ObjectTooLargeError):
                     statuses.append(STATUS_VALUE_TOO_LARGE)
                 elif isinstance(result, OutOfMemoryError):

@@ -37,9 +37,8 @@ def bootstrap_store(
     """Warm ``store`` from the first reachable peer; returns keys loaded.
 
     Args:
-        store: the local :class:`~repro.kvstore.store.KVStore` (or
-            thread-safe wrapper) — written directly, before any server
-            accepts connections.
+        store: the local :class:`~repro.kvstore.store.KVStore` — written
+            directly, before any server accepts connections.
         peers: (host, port) of same-group members to try, in order.
         nslots: listing granularity (one ``keys`` round trip per slot).
         batch: keys per MGET value pull.

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.aggregate import merge_trace_stats, sum_numeric_stats
 from repro.protocol.client import CostAwareClient
+from repro.protocol.commands import ProtocolError
 from repro.shard.router import Endpoint, ShardRouter
 from repro.shard.worker import ShardConfig, worker_main
 
@@ -507,9 +508,9 @@ class ShardSupervisor:
         while not self._stopping.wait(self.anti_entropy_interval):
             try:
                 self.repair_replicas()
-            except Exception:  # pragma: no cover - workers mid-respawn
-                # a sweep racing a dying/respawning member can fail in
-                # arbitrary connection-shaped ways; the next sweep repairs
+            except (OSError, ProtocolError):
+                # a sweep racing a dying/respawning member fails at the
+                # socket or mid-reply; the next sweep repairs
                 continue
 
     # -- fleet telemetry --------------------------------------------------------

@@ -63,8 +63,8 @@ class TestAsyncServerBasics:
 
         run(main())
 
-    def test_shared_engine_with_threaded_server(self):
-        # the same StoreServer engine instance can back both stacks
+    def test_shared_engine_with_loopback(self):
+        # the same StoreServer engine instance can back TCP and loopback
         async def main():
             store = fresh_store()
             engine = StoreServer(store)

@@ -1,9 +1,9 @@
 """``stats metrics`` / ``stats trace`` / ``stats reset`` over real TCP.
 
-The acceptance bar for the observability PR: both serving stacks
-(threaded and asyncio) must expose per-command latency percentiles,
-eviction counters, and per-class cost-per-byte gauges that agree with
-the store's own ``StoreStats`` — over an actual socket, not loopback.
+The asyncio server must expose per-command latency percentiles, eviction
+counters, and per-class cost-per-byte gauges that agree with the store's
+own ``StoreStats`` — over an actual socket, not loopback — to the blocking
+client and the asyncio client alike.
 """
 
 import asyncio
@@ -14,7 +14,8 @@ from repro.aio import AsyncStoreClient, AsyncTCPStoreServer
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
 from repro.obs import EventTrace, MetricsRegistry
-from repro.protocol import CostAwareClient, TCPStoreServer
+from repro.protocol import CostAwareClient
+from tests.serving import ServingThread
 
 
 def instrumented_store(memory=256 * 1024):
@@ -36,10 +37,10 @@ def drive_workload(set_, get):
     get(b"absent")
 
 
-class TestThreadedServer:
+class TestBlockingClient:
     def test_stats_metrics_agrees_with_store_stats(self):
         store = instrumented_store()
-        with TCPStoreServer(store) as server:
+        with ServingThread(store) as server:
             host, port = server.address
             client = CostAwareClient.tcp(host, port)
             drive_workload(
@@ -59,8 +60,8 @@ class TestThreadedServer:
         # per-op store latency (wrapped because a registry was passed)
         assert int(metrics["store_op_latency_us{op=set}_count"]) == 20
         # connection accounting for this transport
-        assert int(metrics["server_connections_total{transport=threaded}"]) == 1
-        assert int(metrics["server_bytes_in_total{transport=threaded}"]) > 0
+        assert int(metrics["server_connections_total{transport=async}"]) == 1
+        assert int(metrics["server_bytes_in_total{transport=async}"]) > 0
         # per-class cost-per-byte gauges agree with class_stats()
         for snapshot in store.class_stats():
             if snapshot.live_items == 0:
@@ -72,7 +73,7 @@ class TestThreadedServer:
 
     def test_stats_trace_and_reset(self):
         store = instrumented_store(memory=64 * 1024)
-        with TCPStoreServer(store) as server:
+        with ServingThread(store) as server:
             host, port = server.address
             client = CostAwareClient.tcp(host, port)
             # overflow one slab class so the policy must evict

@@ -8,8 +8,8 @@ from repro.protocol import (
     CostAwareClient,
     LoopbackConnection,
     StoreServer,
-    TCPStoreServer,
 )
+from tests.serving import ServingThread
 
 
 @pytest.fixture
@@ -139,7 +139,7 @@ class TestMalformedInputOverConnection:
 
 class TestTCP:
     def test_full_session_over_tcp(self, store):
-        with TCPStoreServer(store) as server:
+        with ServingThread(store) as server:
             host, port = server.address
             client = CostAwareClient.tcp(host, port)
             try:
@@ -152,7 +152,7 @@ class TestTCP:
                 client.close()
 
     def test_two_concurrent_clients(self, store):
-        with TCPStoreServer(store) as server:
+        with ServingThread(store) as server:
             host, port = server.address
             c1 = CostAwareClient.tcp(host, port)
             c2 = CostAwareClient.tcp(host, port)

@@ -1,12 +1,15 @@
-"""Threaded TCP server lifecycle: ephemeral ports, reuse, clean shutdown."""
+"""TCP server lifecycle: ephemeral ports, reuse, clean shutdown."""
 
+import asyncio
 import socket
 
 import pytest
 
+from repro.aio import AsyncTCPStoreServer
 from repro.core import LRUPolicy
 from repro.kvstore import KVStore
-from repro.protocol import CostAwareClient, TCPStoreServer
+from repro.protocol import CostAwareClient
+from tests.serving import ServingThread
 
 
 def fresh_store():
@@ -17,8 +20,8 @@ def fresh_store():
 
 class TestTCPServerLifecycle:
     def test_ephemeral_port_zero_binds_real_port(self):
-        with TCPStoreServer(fresh_store(), port=0) as server:
-            host, port = server.address
+        with ServingThread(fresh_store(), port=0) as serving:
+            host, port = serving.address
             assert host == "127.0.0.1"
             assert port > 0
             client = CostAwareClient.tcp(host, port)
@@ -27,63 +30,52 @@ class TestTCPServerLifecycle:
             client.close()
 
     def test_so_reuseaddr_is_set(self):
-        with TCPStoreServer(fresh_store()) as server:
-            value = server._server.socket.getsockopt(
+        with ServingThread(fresh_store()) as serving:
+            value = serving.server._server.sockets[0].getsockopt(
                 socket.SOL_SOCKET, socket.SO_REUSEADDR
             )
             assert value != 0
 
     def test_port_rebindable_immediately_after_stop(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
-        _, port = server.address
+        serving = ServingThread(fresh_store())
+        _, port = serving.address
         client = CostAwareClient.tcp("127.0.0.1", port)
         client.set(b"k", b"v")
-        server.stop()
+        serving.stop()
         client.close()
         # rebinding the same port right away must not raise EADDRINUSE
-        second = TCPStoreServer(fresh_store(), port=port)
-        second.start()
-        try:
+        with ServingThread(fresh_store(), port=port):
             client = CostAwareClient.tcp("127.0.0.1", port)
             assert client.get(b"k") is None  # fresh store, old data gone
             client.close()
-        finally:
-            second.stop()
 
-    def test_stop_is_idempotent_and_shutdown_aliases_it(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
-        assert server.running
-        server.shutdown()
-        assert not server.running
-        server.stop()
-        server.shutdown()  # repeated teardown is a no-op
+    def test_stop_is_idempotent(self):
+        async def main():
+            server = AsyncTCPStoreServer(fresh_store())
+            await server.start()
+            await server.stop()
+            await server.stop()  # repeated teardown is a no-op
+
+        asyncio.run(main())
 
     def test_stop_without_start_does_not_hang(self):
-        server = TCPStoreServer(fresh_store())
-        server.stop()
+        asyncio.run(AsyncTCPStoreServer(fresh_store()).stop())
 
     def test_double_start_rejected(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
-        try:
-            with pytest.raises(RuntimeError):
-                server.start()
-        finally:
-            server.stop()
+        async def main():
+            server = AsyncTCPStoreServer(fresh_store())
+            await server.start()
+            try:
+                with pytest.raises(RuntimeError):
+                    await server.start()
+            finally:
+                await server.stop()
 
-    def test_start_after_shutdown_rejected(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
-        server.stop()
-        with pytest.raises(RuntimeError):
-            server.start()
+        asyncio.run(main())
 
     def test_connect_refused_after_stop(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
-        _, port = server.address
-        server.stop()
+        serving = ServingThread(fresh_store())
+        _, port = serving.address
+        serving.stop()
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", port), timeout=0.5)

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
-from repro.protocol.server import TCPStoreServer
 from repro.replica.hlc import HybridLogicalClock
+from tests.serving import ServingThread
 
 
 class Member:
@@ -18,12 +18,9 @@ class Member:
             policy_factory=GDWheelPolicy,
             hlc=HybridLogicalClock(),
         )
-        self.server = TCPStoreServer(self.store)
-        self.server.start()
-
-    @property
-    def address(self):
-        return self.server.address
+        self.server = ServingThread(self.store)
+        # kept after stop(): tests route to a downed member's old port
+        self.address = self.server.address
 
     def stop(self):
         self.server.stop()

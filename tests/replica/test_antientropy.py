@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
-from repro.protocol.server import TCPStoreServer
 from repro.replica import AntiEntropyRepairer, HybridLogicalClock
+from tests.serving import ServingThread
 
 
 def repairer_for(pair, nslots=16):
@@ -173,8 +173,7 @@ class TestErrorHygiene:
             policy_factory=GDWheelPolicy, hlc=HybridLogicalClock(),
         )
         big.set(b"huge", b"h" * (200 * 1024), version=HybridLogicalClock().tick())
-        server = TCPStoreServer(big)
-        server.start()
+        server = ServingThread(big)
         try:
             repairer = AntiEntropyRepairer(
                 {"g0": {"g0.r0": server.address, "g0.r1": pair[1].address}},

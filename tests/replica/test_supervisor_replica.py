@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.aio.backoff import RetryPolicy
+from repro.protocol.commands import ProtocolError
 from repro.replica.pool import GroupPool
 from repro.shard import ShardSupervisor
 
@@ -161,3 +162,38 @@ class TestShutdownRespawnRace:
         sup._respawn(handle)
         assert sup.pids() == pids_before
         assert not any(sup.alive().values())
+
+
+class TestAntiEntropyLoop:
+    """The background sweep absorbs respawn races and nothing else."""
+
+    def _sweeps(self, monkeypatch, first_error):
+        sup = ShardSupervisor(
+            num_shards=1, replication=2, anti_entropy_interval=0.001
+        )
+        calls = []
+
+        def sweep():
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise first_error
+            sup._stopping.set()
+
+        monkeypatch.setattr(sup, "repair_replicas", sweep)
+        return sup, calls
+
+    @pytest.mark.parametrize(
+        "error", [OSError("member mid-respawn"), ProtocolError("torn reply")]
+    )
+    def test_respawn_race_is_absorbed_and_next_sweep_runs(
+        self, monkeypatch, error
+    ):
+        sup, calls = self._sweeps(monkeypatch, error)
+        sup._anti_entropy_loop()
+        assert calls == [0, 1]
+
+    def test_bug_propagates(self, monkeypatch):
+        sup, calls = self._sweeps(monkeypatch, TypeError("bug"))
+        with pytest.raises(TypeError):
+            sup._anti_entropy_loop()
+        assert calls == [0]

@@ -15,7 +15,6 @@ from repro.protocol import (
     LoopbackConnection,
     ServerBusyError,
     StoreServer,
-    TCPStoreServer,
 )
 from repro.protocol.text import RequestParser
 from repro.resilience import OverloadPolicy
@@ -264,41 +263,3 @@ class TestAsyncShedding:
                 await client.aclose()
 
         run(main())
-
-
-class TestThreadedServerOverload:
-    def test_idle_timeout_closes_silent_socket(self):
-        store = fresh_store()
-        policy = OverloadPolicy(idle_timeout=0.1)
-        with TCPStoreServer(store, overload=policy) as server:
-            sock = socket.create_connection(server.address, timeout=3)
-            started = time.monotonic()
-            assert sock.recv(100) == b""  # server closed us
-            assert time.monotonic() - started >= 0.09
-            sock.close()
-            snapshot = server.engine.metrics.snapshot()
-            assert snapshot[
-                "server_idle_disconnects_total{transport=threaded}"
-            ] == 1
-
-    def test_request_deadline_sheds(self):
-        store = fresh_store()
-        original_get = store.get
-
-        def slow_get(key):
-            time.sleep(0.02)
-            return original_get(key)
-
-        store.get = slow_get
-        policy = OverloadPolicy(request_deadline=0.01)
-        with TCPStoreServer(store, overload=policy) as server:
-            sock = socket.create_connection(server.address, timeout=3)
-            sock.sendall(b"".join(b"get k%d\r\n" % i for i in range(10)))
-            sock.settimeout(3)
-            received = b""
-            while b"busy" not in received:
-                chunk = sock.recv(4096)
-                assert chunk, "connection closed before busy reply"
-                received += chunk
-            sock.close()
-            assert b"SERVER_ERROR busy" in received
