@@ -6,11 +6,11 @@ written to ``BENCH_net.json``:
 1. **Batching A/B** (``results``): ``multi_get`` ops/s in two wire modes
    over a (batch size x pipeline depth) sweep:
 
-   * ``perkey`` — ``batching="none"``: one GET frame per key, pipelined
-     into one round trip.  N keys cost N parses, N dispatches, N
-     response encodes (the pre-PR-8 wire shape).
-   * ``mget`` — ``batching="mget"``: one first-class MGET frame for the
-     whole batch — one parse, one vectored store dispatch under one lock
+   * ``perkey`` — one ``get <key>`` frame per key, pipelined into one
+     round trip through ``AsyncStoreClient.execute``.  N keys cost N
+     parses, N dispatches, N response encodes (the pre-MGET wire shape).
+   * ``mget`` — ``AsyncStoreClient.get_many``: one first-class MGET
+     frame for the whole batch — one parse, one vectored store dispatch under one lock
      acquisition, one response encode into a shared buffer.
 
 2. **Transport A/B** (``transport_ab``): the live BufferedProtocol stack
@@ -51,7 +51,8 @@ import asyncio
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence
 
 from bench_env import environment_facts, net_config
 from frozen_streams_transport import FrozenStreamsClient, FrozenStreamsServer
@@ -61,6 +62,7 @@ from repro.aio.loops import uvloop_available
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
 from repro.obs.histogram import LatencyHistogram
+from repro.protocol.commands import GetCommand, GetResponse, unexpected_response
 
 DEFAULT_BATCH_SIZES = (4, 16, 64)
 DEFAULT_PIPELINE_DEPTHS = (1, 4)
@@ -79,7 +81,9 @@ TRANSPORT_BATCH = 1
 
 #: wire modes measured, in run order (baseline first)
 MODES = ("perkey", "mget")
-_MODE_TO_BATCHING = {"perkey": "none", "mget": "mget"}
+
+#: one batch fetch: a chunk of keys in, ``{key: value}`` of the hits out
+Fetch = Callable[[List[bytes]], Awaitable[Dict[bytes, bytes]]]
 
 
 def _keys(num_keys: int) -> List[bytes]:
@@ -109,22 +113,39 @@ async def _warm(client: AsyncStoreClient, keys: List[bytes],
         )
 
 
+async def _get_per_key(client: AsyncStoreClient,
+                       chunk: List[bytes]) -> Dict[bytes, bytes]:
+    """The per-key baseline: one pipelined ``get <key>`` frame per key."""
+    result = await client.execute([GetCommand(keys=(key,)) for key in chunk])
+    out: Dict[bytes, bytes] = {}
+    for key, response in zip(chunk, result):
+        if not isinstance(response, GetResponse):
+            raise unexpected_response(response, "GET")
+        if response.values:
+            out[key] = response.values[0].value
+    return out
+
+
+def _fetch(mode: str, client: AsyncStoreClient) -> Fetch:
+    """The batch fetch one wire mode times."""
+    return partial(_get_per_key, client) if mode == "perkey" else client.get_many
+
+
 async def _verify_identical(host: str, port: int,
                             chunks: List[List[bytes]]) -> None:
     """Both wire modes must return byte-identical results before timing."""
-    async with AsyncStoreClient(host, port, batching="none") as baseline:
-        async with AsyncStoreClient(host, port, batching="mget") as batched:
-            for chunk in chunks:
-                a = await baseline.get_many(chunk)
-                b = await batched.get_many(chunk)
-                if a != b:
-                    raise AssertionError(
-                        f"mode results diverge for batch {chunk[:2]}...: "
-                        f"{len(a)} vs {len(b)} hits"
-                    )
+    async with AsyncStoreClient(host, port) as client:
+        for chunk in chunks:
+            a = await _fetch("perkey", client)(chunk)
+            b = await _fetch("mget", client)(chunk)
+            if a != b:
+                raise AssertionError(
+                    f"mode results diverge for batch {chunk[:2]}...: "
+                    f"{len(a)} vs {len(b)} hits"
+                )
 
 
-async def _drive(client: AsyncStoreClient, chunks: List[List[bytes]],
+async def _drive(fetch: Fetch, chunks: List[List[bytes]],
                  depth: int) -> Dict[str, object]:
     """Closed-loop timed phase: ``depth`` workers share the chunk list."""
     histogram = LatencyHistogram(max_value=1e9, sub_buckets=32)
@@ -141,13 +162,13 @@ async def _drive(client: AsyncStoreClient, chunks: List[List[bytes]],
             cursor[0] = index + 1
             chunk = chunks[index]
             batch_start = perf_counter()
-            found = await client.get_many(chunk)
+            found = await fetch(chunk)
             histogram.record((perf_counter() - batch_start) * 1e6)
             hits[0] += len(found)
             operations[0] += len(chunk)
 
     # prime connections so the timed phase measures serving, not dialing
-    await client.get_many(chunks[0])
+    await fetch(chunks[0])
     started = perf_counter()
     await asyncio.gather(*(worker() for _ in range(depth)))
     wall = perf_counter() - started
@@ -195,10 +216,9 @@ async def _measure(
                 for mode in MODES:
                     async with AsyncStoreClient(
                         host, port, pool_size=depth,
-                        batching=_MODE_TO_BATCHING[mode],
                     ) as client:
                         entry["modes"][mode] = await _drive(
-                            client, chunks, depth
+                            _fetch(mode, client), chunks, depth
                         )
                 perkey = entry["modes"]["perkey"]["ops_per_sec"]
                 mget = entry["modes"]["mget"]["ops_per_sec"]
@@ -296,12 +316,12 @@ async def _measure_transport_ab(
                     *old_server.address, pool_size=depth
                 )
                 async with old_client:
-                    old_run = await _drive(old_client, chunks, depth)
+                    old_run = await _drive(old_client.get_many, chunks, depth)
                 new_client = AsyncStoreClient(
                     *new_server.address, pool_size=depth
                 )
                 async with new_client:
-                    new_run = await _drive(new_client, chunks, depth)
+                    new_run = await _drive(new_client.get_many, chunks, depth)
                 for mode, run in (
                     ("frozen_streams", old_run), ("protocol", new_run)
                 ):

@@ -50,12 +50,12 @@ from repro.protocol.commands import (
     MultiSetResponse,
     NumberResponse,
     ProtocolError,
-    ServerBusyError,
     SimpleResponse,
     StatsCommand,
     StatsResponse,
     StoreCommand,
     TouchCommand,
+    unexpected_response,
 )
 from repro.resilience.breaker import BreakerOpenError, CircuitBreaker
 from repro.protocol.sockopt import tune_socket
@@ -69,29 +69,11 @@ READ_SIZE = 65536
 #: anyway, so the extra coroutine hop buys nothing for small frames
 CORK_BYTES = 64 * 1024
 
-#: the negotiation signal an old text server answers to ``mget``/``mset``
-_UNKNOWN_COMMAND = b"CLIENT_ERROR unknown command"
-
 #: Exceptions that mark a connection dead and the attempt retryable.
 #: BreakerOpenError subclasses ConnectionError but is raised outside the
 #: retry try-block, so it propagates without retry; ServerBusyError is a
 #: ProtocolError and deliberately not retryable (see its docstring).
 RETRYABLE = (ConnectionError, OSError, asyncio.TimeoutError)
-
-
-def _unexpected(response, what: str) -> ProtocolError:
-    """The error for a response of the wrong shape — busy-aware.
-
-    Overload shedding answers any command with ``SERVER_ERROR busy``, so
-    every "that's not the response type I sent a command for" path funnels
-    through here to surface :class:`ServerBusyError` instead of a generic
-    protocol error.
-    """
-    if isinstance(response, SimpleResponse) and response.line.startswith(
-        b"SERVER_ERROR busy"
-    ):
-        return ServerBusyError("server is shedding load (SERVER_ERROR busy)")
-    return ProtocolError(f"unexpected {what} response: {response!r}")
 
 
 def _batch_summary(commands: Sequence[object]) -> Tuple[str, Optional[int]]:
@@ -380,17 +362,11 @@ class AsyncStoreClient:
             to the server on GET lines; slow/shed/breaker-rejected
             requests are force-sampled even when the head decision said
             no.  ``None`` (default) keeps the request path untouched.
-        batching: how :meth:`get_many`/:meth:`set_many` hit the wire.
-            ``"mget"`` (default) sends one first-class MGET/MSET frame and
-            transparently falls back to per-key commands against an old
-            server (negotiated once, cached in :attr:`batch_supported`);
-            ``"get"`` sends the legacy multi-key ``get`` line; ``"none"``
-            sends one frame per key — the A/B baseline the net benchmark
-            measures against.
-    """
 
-    #: batching modes accepted by the constructor
-    BATCHING_MODES = ("mget", "get", "none")
+    :meth:`get_many`/:meth:`set_many` send one MGET/MSET frame per call;
+    other wire shapes (per-key frames, the multi-key ``get`` line) go
+    through :meth:`execute` directly.
+    """
 
     def __init__(
         self,
@@ -402,17 +378,9 @@ class AsyncStoreClient:
         rng: Optional[random.Random] = None,
         breaker: Optional[CircuitBreaker] = None,
         tracer: Optional["tracing.Tracer"] = None,
-        batching: str = "mget",
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if batching not in self.BATCHING_MODES:
-            raise ValueError(f"batching must be one of {self.BATCHING_MODES}")
-        self.batching = batching
-        #: MGET/MSET support on the far side: ``None`` until the first
-        #: batched call negotiates it, then ``True``/``False`` for the
-        #: client's lifetime (one probe per endpoint, not per call)
-        self.batch_supported: Optional[bool] = None
         self.host = host
         self.port = port
         self.pool_size = pool_size
@@ -644,7 +612,7 @@ class AsyncStoreClient:
         result = await self.execute([GetCommand(keys=(key,))])
         response = result[0]
         if not isinstance(response, GetResponse):
-            raise _unexpected(response, "GET")
+            raise unexpected_response(response, "GET")
         return response.values[0].value if response.values else None
 
     async def set(
@@ -683,7 +651,7 @@ class AsyncStoreClient:
             return response.value
         if isinstance(response, SimpleResponse) and response.line == b"NOT_FOUND":
             return None
-        raise _unexpected(response, "INCR")
+        raise unexpected_response(response, "INCR")
 
     async def flush_all(self) -> bool:
         result = await self.execute([FlushCommand()])
@@ -694,7 +662,7 @@ class AsyncStoreClient:
         result = await self.execute([StatsCommand(subcommand=subcommand)])
         response = result[0]
         if not isinstance(response, StatsResponse):
-            raise _unexpected(response, "STATS")
+            raise unexpected_response(response, "STATS")
         return dict(response.stats)
 
     async def stats_reset(self) -> bool:
@@ -705,70 +673,18 @@ class AsyncStoreClient:
 
     # -- pipelined batches -----------------------------------------------------
 
-    @staticmethod
-    def _batch_refused(response) -> bool:
-        """Did the server answer ``CLIENT_ERROR unknown command``?
-
-        That is the negotiation signal from a build that predates
-        MGET/MSET; the text server also closes the connection after a
-        protocol error, but the reply flushes first, so the client sees
-        it.  Callers must follow up with :meth:`_discard_refused` so the
-        per-key replay never checks out the dead connection.
-        """
-        return isinstance(response, SimpleResponse) and response.line.startswith(
-            _UNKNOWN_COMMAND
-        )
-
-    async def _discard_refused(self) -> None:
-        """Drop idle pooled connections after a batch refusal.
-
-        The old server closed the connection that saw the unknown
-        command, and that connection was just returned to the idle pool;
-        closing the idle set (a one-time negotiation event) guarantees
-        the fallback replay dials fresh even under ``NO_RETRY``.
-        """
-        self.batch_supported = False
-        while self._idle:
-            await self._idle.popleft().aclose()
-
     async def get_many(self, keys: Sequence[bytes]) -> Dict[bytes, bytes]:
         """Multi-key GET; ``{key: value}`` of the hits.
 
-        One MGET frame per call under ``batching="mget"`` (one parse, one
-        vectored dispatch, one response encode server-side); against an
-        old server the first call negotiates the fallback — per-key GET
-        frames, still pipelined in one round trip — and the outcome is
-        cached in :attr:`batch_supported` for the client's lifetime.
+        One MGET frame per call: one parse, one vectored dispatch and one
+        response encode server-side.
         """
         if not keys:
             return {}
-        if self.batching == "mget" and self.batch_supported is not False:
-            result = await self.execute([MultiGetCommand(keys=tuple(keys))])
-            response = result[0]
-            if isinstance(response, GetResponse):
-                self.batch_supported = True
-                return {v.key: v.value for v in response.values}
-            if not self._batch_refused(response):
-                raise _unexpected(response, "MGET")
-            await self._discard_refused()
-        if self.batching == "none" or (
-            self.batching == "mget" and self.batch_supported is False
-        ):
-            # per-key frames (fallback, or the explicit A/B baseline),
-            # still pipelined into one round trip
-            commands = [GetCommand(keys=(key,)) for key in keys]
-            result = await self.execute(commands)
-            out: Dict[bytes, bytes] = {}
-            for key, response in zip(keys, result):
-                if not isinstance(response, GetResponse):
-                    raise _unexpected(response, "GET")
-                if response.values:
-                    out[key] = response.values[0].value
-            return out
-        result = await self.execute([GetCommand(keys=tuple(keys))])
+        result = await self.execute([MultiGetCommand(keys=tuple(keys))])
         response = result[0]
         if not isinstance(response, GetResponse):
-            raise _unexpected(response, "GET")
+            raise unexpected_response(response, "MGET")
         return {v.key: v.value for v in response.values}
 
     async def set_many(
@@ -776,9 +692,8 @@ class AsyncStoreClient:
     ) -> int:
         """SETs of (key, value, cost[, version]) tuples; returns #stored.
 
-        One MSET frame per call under ``batching="mget"``, with the same
-        negotiated per-key fallback as :meth:`get_many`.  A 4th tuple
-        element carries a replication version (0 / omitted = none).
+        One MSET frame per call.  A 4th tuple element carries a
+        replication version (0 / omitted = none).
         """
         statuses = await self.set_many_statuses(items, exptime=exptime)
         return sum(1 for status in statuses if status == b"STORED")
@@ -792,70 +707,35 @@ class AsyncStoreClient:
         ``NOT_STORED`` (a last-writer-wins reject — the replica already
         holds something *newer*, so the write is durably resolved) must
         count as an ack, while ``OOM``/``TOO_LARGE``/``ERROR`` must not.
-        Statuses come back verbatim from the MSET response; the per-key
-        fallback path maps each SimpleResponse line to the same
-        vocabulary.
+        Statuses come back verbatim from the MSET response.
         """
         if not items:
             return []
-        normalized = [
-            item if len(item) == 4 else (item[0], item[1], item[2], 0)
-            for item in items
-        ]
-        if self.batching == "mget" and self.batch_supported is not False:
-            command = MultiSetCommand(
-                items=tuple(
-                    StoreCommand(verb="set", key=key, flags=0,
-                                 exptime=exptime, value=value, cost=cost,
-                                 version=version)
-                    for key, value, cost, version in normalized
-                )
+        command = MultiSetCommand(
+            items=tuple(
+                StoreCommand(verb="set", key=item[0], flags=0,
+                             exptime=exptime, value=item[1], cost=item[2],
+                             version=item[3] if len(item) == 4 else 0)
+                for item in items
             )
-            result = await self.execute([command])
-            response = result[0]
-            if isinstance(response, MultiSetResponse):
-                self.batch_supported = True
-                if len(response.statuses) != len(items):
-                    raise ProtocolError(
-                        "MSET answered %d statuses for %d items"
-                        % (len(response.statuses), len(items))
-                    )
-                return list(response.statuses)
-            if not self._batch_refused(response):
-                raise _unexpected(response, "MSET")
-            await self._discard_refused()
-        commands = [
-            StoreCommand(verb="set", key=key, flags=0, exptime=exptime,
-                         value=value, cost=cost, version=version)
-            for key, value, cost, version in normalized
-        ]
-        result = await self.execute(commands)
-        statuses = []
-        for response in result:
-            if not isinstance(response, SimpleResponse):
-                raise _unexpected(response, "store")
-            if response.line.startswith(b"SERVER_ERROR busy"):
-                raise ServerBusyError(
-                    "server is shedding load (SERVER_ERROR busy)"
-                )
-            if response.line == b"STORED":
-                statuses.append(b"STORED")
-            elif response.line == b"NOT_STORED":
-                statuses.append(b"NOT_STORED")
-            elif response.line.startswith(b"SERVER_ERROR object too large"):
-                statuses.append(b"TOO_LARGE")
-            elif response.line.startswith(b"SERVER_ERROR out of memory"):
-                statuses.append(b"OOM")
-            else:
-                statuses.append(b"ERROR")
-        return statuses
+        )
+        result = await self.execute([command])
+        response = result[0]
+        if not isinstance(response, MultiSetResponse):
+            raise unexpected_response(response, "MSET")
+        if len(response.statuses) != len(items):
+            raise ProtocolError(
+                "MSET answered %d statuses for %d items"
+                % (len(response.statuses), len(items))
+            )
+        return list(response.statuses)
 
     async def digest(self, nslots: int) -> DigestResponse:
         """Anti-entropy digest: per-slot (count, hash) over live keys."""
         result = await self.execute([DigestCommand(nslots=nslots)])
         response = result[0]
         if not isinstance(response, DigestResponse):
-            raise _unexpected(response, "DIGEST")
+            raise unexpected_response(response, "DIGEST")
         return response
 
     async def key_entries(self, slot: int, nslots: int) -> KeyListResponse:
@@ -863,19 +743,14 @@ class AsyncStoreClient:
         result = await self.execute([KeyListCommand(slot=slot, nslots=nslots)])
         response = result[0]
         if not isinstance(response, KeyListResponse):
-            raise _unexpected(response, "KEYS")
+            raise unexpected_response(response, "KEYS")
         return response
 
     @staticmethod
     def _check_stored(response) -> bool:
-        if not isinstance(response, SimpleResponse):
-            raise _unexpected(response, "store")
-        if response.line == b"STORED":
-            return True
-        if response.line == b"NOT_STORED":
-            return False
-        if response.line.startswith(b"SERVER_ERROR busy"):
-            raise ServerBusyError(
-                "server is shedding load (SERVER_ERROR busy)"
-            )
-        raise ProtocolError(response.line.decode())
+        if isinstance(response, SimpleResponse):
+            if response.line == b"STORED":
+                return True
+            if response.line == b"NOT_STORED":
+                return False
+        raise unexpected_response(response, "store")

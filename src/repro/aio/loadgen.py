@@ -97,7 +97,6 @@ async def run_closed_loop(
     client: Optional[AsyncStoreClient] = None,
     reporter: Optional[SnapshotReporter] = None,
     report_interval: float = 1.0,
-    batching: str = "mget",
 ) -> LoadReport:
     """Drive a live server and measure throughput + latency percentiles.
 
@@ -120,13 +119,6 @@ async def run_closed_loop(
             while the timed phase runs, it emits a rate-per-second report
             every ``report_interval`` seconds (live server-side telemetry
             alongside the client-side closed-loop numbers).
-        batching: wire mode for the generator's own client (ignored when
-            ``client`` is passed in).  The default ``"mget"`` puts each
-            GET window on the wire as one MGET frame and each SET window
-            as one MSET frame, so the generator amortizes per-command
-            framing exactly like the serving path and is never the
-            bottleneck; ``"none"`` forces per-key frames (the A/B
-            baseline the net benchmark drives).
     """
     if total_ops < 1:
         raise ValueError("total_ops must be >= 1")
@@ -138,7 +130,6 @@ async def run_closed_loop(
     if client is None:
         client = AsyncStoreClient(
             host, port, pool_size=concurrency, timeout=timeout,
-            batching=batching,
         )
 
     # warmup: load keys so the timed phase measures a warm cache

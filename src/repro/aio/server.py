@@ -289,8 +289,6 @@ class AsyncTCPStoreServer:
         tracer: optional :class:`~repro.obs.tracing.Tracer` forwarded to
             the protocol engine so sampled requests record server-side
             spans (see :meth:`StoreServer.dispatch`).
-        accept_batch: forwarded to :class:`StoreServer` — ``False``
-            emulates a pre-MGET build (compat-matrix tests).
         write_high_water: transport write-buffer high-water mark per
             connection; crossing it pauses that connection's reads until
             the peer drains.  ``None`` keeps asyncio's default limits.
@@ -306,13 +304,12 @@ class AsyncTCPStoreServer:
         registry: Optional[MetricsRegistry] = None,
         overload: Optional[OverloadPolicy] = None,
         tracer=None,
-        accept_batch: bool = True,
         write_high_water: Optional[int] = WRITE_HIGH_WATER,
     ) -> None:
         if engine is None:
             if store is None:
                 raise ValueError("either store or engine is required")
-            engine = StoreServer(store, tracer=tracer, accept_batch=accept_batch)
+            engine = StoreServer(store, tracer=tracer)
         elif tracer is not None and engine.tracer is None:
             engine.tracer = tracer
         self.engine = engine

@@ -35,10 +35,7 @@ opcode, and carry a whole batch in one frame's value::
     MSET response value  count(4) then count × [status(2)]  (in item order)
 
 An MGET request may carry the 17-byte trace-context extras — **one**
-context for the whole frame, where the per-key path pays one per key.  A
-server that predates these opcodes answers ``STATUS_UNKNOWN_COMMAND``
-with the connection still open; clients treat that as the negotiation
-signal and fall back to per-key operations (cached per connection).
+context for the whole frame, where the per-key path pays one per key.
 """
 
 from __future__ import annotations
@@ -391,14 +388,9 @@ class BinaryStoreServer:
     VERSION = b"gdwheel-repro-1.0"
 
     def __init__(self, store: KVStore,
-                 tracer: Optional["tracing.Tracer"] = None,
-                 accept_batch: bool = True) -> None:
+                 tracer: Optional["tracing.Tracer"] = None) -> None:
         self.store = store
         self.tracer = tracer
-        # False emulates a pre-MGET build: the batched opcodes fall through
-        # to STATUS_UNKNOWN_COMMAND (connection stays open), which is the
-        # client's signal to fall back to per-key operations.
-        self.accept_batch = accept_batch
 
     def handle_bytes(self, parser: BinaryParser, data: bytes) -> Tuple[bytes, bool]:
         out = bytearray()
@@ -442,7 +434,7 @@ class BinaryStoreServer:
                 True,
             )
 
-        if op == OP_MGET and self.accept_batch:
+        if op == OP_MGET:
             try:
                 keys = unpack_mget_value(frame.value)
             except ProtocolError:
@@ -469,7 +461,7 @@ class BinaryStoreServer:
                 True,
             )
 
-        if op == OP_MSET and self.accept_batch:
+        if op == OP_MSET:
             try:
                 items = unpack_mset_value(frame.value)
             except ProtocolError:
@@ -639,10 +631,6 @@ class BinaryClient:
         self._request_parser = BinaryParser(MAGIC_REQUEST)
         self._response_parser = BinaryParser(MAGIC_RESPONSE)
         self._opaque = 0
-        #: MGET/MSET support, negotiated once per connection: None until
-        #: the first batched call, then True, or False after the server
-        #: answered STATUS_UNKNOWN_COMMAND (per-key fallback from then on).
-        self.batch_supported: Optional[bool] = None
 
     def _roundtrip(self, frame: BinaryFrame) -> BinaryFrame:
         self._opaque += 1
@@ -683,68 +671,36 @@ class BinaryClient:
 
     def get_many(self, keys,
                  context: Optional["tracing.TraceContext"] = None) -> dict:
-        """Fetch a key batch with one OP_MGET frame; ``{key: value}`` of hits.
-
-        Falls back to per-key GETs against a server that answers
-        ``STATUS_UNKNOWN_COMMAND`` (a build without the batched opcodes);
-        the outcome is cached in :attr:`batch_supported` so the fallback
-        is negotiated once per connection, not per call.
-        """
+        """Fetch a key batch with one OP_MGET frame; ``{key: value}`` of hits."""
         keys = list(keys)
         if not keys:
             return {}
-        if self.batch_supported is not False:
-            extras = (
-                tracing.pack_trace_extras(context) if context is not None
-                else b""
-            )
-            reply = self._roundtrip(
-                request(OP_MGET, value=pack_mget_value(keys), extras=extras)
-            )
-            if reply.status == STATUS_OK:
-                self.batch_supported = True
-                return {
-                    key: value
-                    for key, _flags, value in unpack_mget_reply_value(reply.value)
-                }
-            if reply.status != STATUS_UNKNOWN_COMMAND:
-                raise ProtocolError(f"mget failed with status {reply.status}")
-            self.batch_supported = False
-        out = {}
-        for key in keys:
-            value = self.get(key, context=context)
-            if value is not None:
-                out[key] = value
-        return out
+        extras = (
+            tracing.pack_trace_extras(context) if context is not None else b""
+        )
+        reply = self._roundtrip(
+            request(OP_MGET, value=pack_mget_value(keys), extras=extras)
+        )
+        if reply.status != STATUS_OK:
+            raise ProtocolError(f"mget failed with status {reply.status}")
+        return {
+            key: value
+            for key, _flags, value in unpack_mget_reply_value(reply.value)
+        }
 
     def set_many(self, entries) -> Tuple[int, ...]:
         """Store ``(key, value, cost, exptime, flags)`` entries in one
-        OP_MSET frame; returns per-item status codes in entry order.
-
-        Same negotiation as :meth:`get_many`: an old server's
-        ``STATUS_UNKNOWN_COMMAND`` flips :attr:`batch_supported` and the
-        batch is replayed as per-key SETs.
-        """
+        OP_MSET frame; returns per-item status codes in entry order."""
         entries = list(entries)
         if not entries:
             return ()
-        if self.batch_supported is not False:
-            reply = self._roundtrip(
-                request(OP_MSET, value=pack_mset_value(entries))
-            )
-            if reply.status == STATUS_OK:
-                self.batch_supported = True
-                statuses = unpack_mset_reply_value(reply.value)
-                if len(statuses) != len(entries):
-                    raise ProtocolError("mset reply count mismatch")
-                return statuses
-            if reply.status != STATUS_UNKNOWN_COMMAND:
-                raise ProtocolError(f"mset failed with status {reply.status}")
-            self.batch_supported = False
-        return tuple(
-            self.set(key, value, cost=cost, exptime=exptime, flags=flags)
-            for key, value, cost, exptime, flags in entries
-        )
+        reply = self._roundtrip(request(OP_MSET, value=pack_mset_value(entries)))
+        if reply.status != STATUS_OK:
+            raise ProtocolError(f"mset failed with status {reply.status}")
+        statuses = unpack_mset_reply_value(reply.value)
+        if len(statuses) != len(entries):
+            raise ProtocolError("mset reply count mismatch")
+        return statuses
 
     def gets(self, key: bytes) -> Optional[Tuple[bytes, int]]:
         reply = self._roundtrip(request(OP_GET, key=key))

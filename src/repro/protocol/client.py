@@ -27,12 +27,12 @@ from repro.protocol.commands import (
     MultiSetCommand,
     MultiSetResponse,
     NumberResponse,
-    ProtocolError,
     SimpleResponse,
     StatsCommand,
     StatsResponse,
     StoreCommand,
     TouchCommand,
+    unexpected_response,
 )
 from repro.protocol.server import LoopbackConnection
 from repro.protocol.sockopt import tune_socket
@@ -56,9 +56,8 @@ class LoopbackTransport(Transport):
     """Wraps :class:`LoopbackConnection` (synchronous: send returns reply).
 
     Emulates a pooled TCP client's redial: when the server closed the
-    connection (``quit``, protocol error — including an old server
-    refusing ``mget``), the next send opens a fresh connection to the
-    same engine instead of failing forever.
+    connection (``quit``, protocol error), the next send opens a fresh
+    connection to the same engine instead of failing forever.
     """
 
     def __init__(self, connection: LoopbackConnection) -> None:
@@ -101,9 +100,6 @@ class CostAwareClient:
     def __init__(self, transport: Transport) -> None:
         self._transport = transport
         self._parser = ResponseParser()
-        #: MGET/MSET support, negotiated on first batched call (None =
-        #: unprobed; False = old server, per-key fallback from then on)
-        self.batch_supported: Optional[bool] = None
 
     @classmethod
     def loopback(cls, server) -> "CostAwareClient":
@@ -133,87 +129,52 @@ class CostAwareClient:
     def get(self, key: bytes) -> Optional[bytes]:
         response = self._roundtrip(GetCommand(keys=(key,)))
         if not isinstance(response, GetResponse):
-            raise ProtocolError(f"unexpected GET response: {response!r}")
+            raise unexpected_response(response, "GET")
         return response.values[0].value if response.values else None
 
     def get_many(self, keys: List[bytes]) -> dict:
-        """Batched GET: one MGET frame, falling back (once) on old servers.
-
-        An old server answers ``CLIENT_ERROR unknown command`` and closes;
-        loopback transports survive that (the reply arrives first), and
-        the outcome is cached in :attr:`batch_supported` so only the first
-        call pays the probe.
-        """
+        """Batched GET: one MGET frame; ``{key: value}`` of the hits."""
         if not keys:
             return {}
-        if self.batch_supported is not False:
-            response = self._roundtrip(MultiGetCommand(keys=tuple(keys)))
-            if isinstance(response, GetResponse):
-                self.batch_supported = True
-                return {v.key: v.value for v in response.values}
-            if not (
-                isinstance(response, SimpleResponse)
-                and response.line.startswith(b"CLIENT_ERROR unknown command")
-            ):
-                raise ProtocolError(f"unexpected MGET response: {response!r}")
-            self.batch_supported = False
-        response = self._roundtrip(GetCommand(keys=tuple(keys)))
+        response = self._roundtrip(MultiGetCommand(keys=tuple(keys)))
         if not isinstance(response, GetResponse):
-            raise ProtocolError(f"unexpected GET response: {response!r}")
+            raise unexpected_response(response, "MGET")
         return {v.key: v.value for v in response.values}
 
     def set_many(self, items: List[Tuple[bytes, bytes, int]],
                  exptime: float = 0) -> int:
         """Batched SET of (key, value, cost[, version]) tuples; #stored.
 
-        One MSET frame, with the same negotiated per-key fallback as
-        :meth:`get_many`.  A 4th element per tuple carries a replication
+        One MSET frame.  A 4th element per tuple carries a replication
         version (0 / omitted = unversioned).
         """
         if not items:
             return 0
-        normalized = [
-            item if len(item) == 4 else (item[0], item[1], item[2], 0)
-            for item in items
-        ]
-        if self.batch_supported is not False:
-            command = MultiSetCommand(
-                items=tuple(
-                    StoreCommand(verb="set", key=key, flags=0,
-                                 exptime=exptime, value=value, cost=cost,
-                                 version=version)
-                    for key, value, cost, version in normalized
-                )
+        command = MultiSetCommand(
+            items=tuple(
+                StoreCommand(verb="set", key=item[0], flags=0,
+                             exptime=exptime, value=item[1], cost=item[2],
+                             version=item[3] if len(item) == 4 else 0)
+                for item in items
             )
-            response = self._roundtrip(command)
-            if isinstance(response, MultiSetResponse):
-                self.batch_supported = True
-                return response.stored
-            if not (
-                isinstance(response, SimpleResponse)
-                and response.line.startswith(b"CLIENT_ERROR unknown command")
-            ):
-                raise ProtocolError(f"unexpected MSET response: {response!r}")
-            self.batch_supported = False
-        stored = 0
-        for key, value, cost, version in normalized:
-            if self.set(key, value, cost=cost, exptime=exptime,
-                        version=version):
-                stored += 1
-        return stored
+        )
+        response = self._roundtrip(command)
+        if not isinstance(response, MultiSetResponse):
+            raise unexpected_response(response, "MSET")
+        return response.stored
 
     def digest(self, nslots: int) -> DigestResponse:
         """Anti-entropy digest: per-slot (count, hash) over live keys."""
         response = self._roundtrip(DigestCommand(nslots=nslots))
         if not isinstance(response, DigestResponse):
-            raise ProtocolError(f"unexpected DIGEST response: {response!r}")
+            raise unexpected_response(response, "DIGEST")
         return response
 
     def key_entries(self, slot: int, nslots: int) -> KeyListResponse:
         """One digest slot's (key, version, cost, flags, exptime) entries."""
         response = self._roundtrip(KeyListCommand(slot=slot, nslots=nslots))
         if not isinstance(response, KeyListResponse):
-            raise ProtocolError(f"unexpected KEYS response: {response!r}")
+            raise unexpected_response(response, "KEYS")
         return response
 
     def _store(self, verb: str, key: bytes, value: bytes, cost: int,
@@ -222,13 +183,12 @@ class CostAwareClient:
             StoreCommand(verb=verb, key=key, flags=flags, exptime=exptime,
                          value=value, cost=cost, version=version)
         )
-        if not isinstance(response, SimpleResponse):
-            raise ProtocolError(f"unexpected store response: {response!r}")
-        if response.line == b"STORED":
-            return True
-        if response.line == b"NOT_STORED":
-            return False
-        raise ProtocolError(response.line.decode())
+        if isinstance(response, SimpleResponse):
+            if response.line == b"STORED":
+                return True
+            if response.line == b"NOT_STORED":
+                return False
+        raise unexpected_response(response, "store")
 
     def set(self, key: bytes, value: bytes, cost: int = 0,
             exptime: float = 0, flags: int = 0, version: int = 0) -> bool:
@@ -252,7 +212,7 @@ class CostAwareClient:
         """GET with CAS token: (value, cas_unique), or None on a miss."""
         response = self._roundtrip(GetCommand(keys=(key,), with_cas=True))
         if not isinstance(response, GetResponse):
-            raise ProtocolError(f"unexpected GETS response: {response!r}")
+            raise unexpected_response(response, "GETS")
         if not response.values:
             return None
         value = response.values[0]
@@ -265,24 +225,20 @@ class CostAwareClient:
             StoreCommand(verb="cas", key=key, flags=flags, exptime=exptime,
                          value=value, cost=cost, cas_unique=cas_unique)
         )
-        if not isinstance(response, SimpleResponse):
-            raise ProtocolError(f"unexpected CAS response: {response!r}")
         mapping = {b"STORED": "stored", b"EXISTS": "exists",
                    b"NOT_FOUND": "not_found"}
-        if response.line in mapping:
+        if isinstance(response, SimpleResponse) and response.line in mapping:
             return mapping[response.line]
-        raise ProtocolError(response.line.decode())
+        raise unexpected_response(response, "CAS")
 
     def incr(self, key: bytes, delta: int = 1) -> Optional[int]:
         """INCR: the new value, or None if the key is absent."""
         response = self._roundtrip(IncrCommand(key=key, delta=delta))
         if isinstance(response, NumberResponse):
             return response.value
-        if isinstance(response, SimpleResponse):
-            if response.line == b"NOT_FOUND":
-                return None
-            raise ProtocolError(response.line.decode())
-        raise ProtocolError(f"unexpected INCR response: {response!r}")
+        if isinstance(response, SimpleResponse) and response.line == b"NOT_FOUND":
+            return None
+        raise unexpected_response(response, "INCR")
 
     def decr(self, key: bytes, delta: int = 1) -> Optional[int]:
         """DECR: the new value (clamped at 0), or None if absent."""
@@ -291,11 +247,9 @@ class CostAwareClient:
         )
         if isinstance(response, NumberResponse):
             return response.value
-        if isinstance(response, SimpleResponse):
-            if response.line == b"NOT_FOUND":
-                return None
-            raise ProtocolError(response.line.decode())
-        raise ProtocolError(f"unexpected DECR response: {response!r}")
+        if isinstance(response, SimpleResponse) and response.line == b"NOT_FOUND":
+            return None
+        raise unexpected_response(response, "DECR")
 
     def delete(self, key: bytes) -> bool:
         response = self._roundtrip(DeleteCommand(key=key))
@@ -313,7 +267,7 @@ class CostAwareClient:
         """``stats [slabs|items|settings|metrics|trace]`` as a dict."""
         response = self._roundtrip(StatsCommand(subcommand=subcommand))
         if not isinstance(response, StatsResponse):
-            raise ProtocolError(f"unexpected STATS response: {response!r}")
+            raise unexpected_response(response, "STATS")
         return dict(response.stats)
 
     def stats_reset(self) -> bool:

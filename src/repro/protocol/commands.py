@@ -81,11 +81,6 @@ class MultiGetCommand:
     and encodes every response into one shared buffer.  ``trace_token``
     carries at most one trace context for the entire frame — batching
     collapses N per-key tokens into one.
-
-    A server that predates this command answers ``CLIENT_ERROR unknown
-    command`` (and closes), which is the negotiation signal clients use
-    to fall back to per-key GETs (see
-    :meth:`repro.aio.client.AsyncStoreClient.get_many`).
     """
 
     keys: Tuple[bytes, ...]
@@ -115,8 +110,7 @@ class DigestCommand:
     per non-empty bucket, the item count and an order-independent XOR hash
     over (key, version) pairs.  Two replicas holding identical data answer
     identical digests; a diverged slot pins down *where* to repair without
-    shipping the keyspace.  Gated behind the same negotiation as
-    MGET/MSET: pre-replication servers answer ``CLIENT_ERROR``.
+    shipping the keyspace.
     """
 
     nslots: int
@@ -281,3 +275,18 @@ BUSY = SimpleResponse(b"SERVER_ERROR busy")
 
 def client_error(message: str) -> SimpleResponse:
     return SimpleResponse(b"CLIENT_ERROR " + message.encode())
+
+
+def unexpected_response(response, what: str) -> ProtocolError:
+    """The error for a reply the caller has no meaning for — busy-aware.
+
+    Overload shedding answers any command with ``SERVER_ERROR busy``, so
+    every client path that meets the wrong response shape or an error line
+    funnels through here to raise :class:`ServerBusyError` rather than a
+    generic :class:`ProtocolError`.
+    """
+    if isinstance(response, SimpleResponse) and response.line.startswith(
+        BUSY.line
+    ):
+        return ServerBusyError("server is shedding load (SERVER_ERROR busy)")
+    return ProtocolError(f"unexpected {what} response: {response!r}")

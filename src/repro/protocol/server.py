@@ -118,10 +118,6 @@ class StoreServer:
             activates it, so store/tier spans nest under it); untraced
             commands pay one attribute check.  ``None`` (default) keeps
             dispatch byte-for-byte identical to the pre-tracing path.
-        accept_batch: when False the server refuses ``mget``/``mset``
-            with ``CLIENT_ERROR unknown command`` exactly like a build
-            that predates them — the knob compat-matrix tests use to
-            stand up an "old server" and exercise client fallback.
     """
 
     def __init__(
@@ -130,10 +126,8 @@ class StoreServer:
         registry: Optional[MetricsRegistry] = None,
         trace=None,
         tracer=None,
-        accept_batch: bool = True,
     ) -> None:
         self.store = store
-        self.accept_batch = accept_batch
         self.metrics = registry if registry is not None else store.metrics
         self.trace = trace if trace is not None else store.trace
         self.tracer = tracer
@@ -559,9 +553,7 @@ class StoreConnection:
 
     def __init__(self, engine: StoreServer) -> None:
         self.engine = engine
-        self.parser = RequestParser(
-            accept_batch=getattr(engine, "accept_batch", True)
-        )
+        self.parser = RequestParser()
         self.open = True
 
     def feed(

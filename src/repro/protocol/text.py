@@ -24,8 +24,7 @@ The replication layer (:mod:`repro.replica`) adds a second optional token
 pair — ``version <v>``, a hybrid-logical-clock version used for
 last-writer-wins conflict resolution between replicas — and two
 anti-entropy commands: ``digest`` (per-slot key/version summary) and
-``keys`` (one slot's key metadata, for repair and bootstrap).  Both are
-gated behind the same ``accept_batch`` negotiation knob as MGET/MSET.
+``keys`` (one slot's key metadata, for repair and bootstrap).
 
 :class:`RequestParser` is an incremental parser over a byte stream (framing
 included), suitable for feeding raw socket reads.
@@ -125,18 +124,14 @@ class RequestParser:
     Value payloads are sliced straight out of the receive buffer through a
     :class:`memoryview` — one copy at hand-off, no intermediate
     ``bytearray`` slice — which is what keeps deep MSET frames single-pass.
-
-    ``accept_batch=False`` makes the parser behave exactly like its
-    pre-MGET/MSET ancestor (``mget``/``mset`` raise "unknown command"),
-    which is how the compatibility matrix emulates an old server.
     """
 
     __slots__ = (
         "_buffer", "_start", "_pending", "_pending_bytes",
-        "_mset_items", "_mset_remaining", "_mset_noreply", "accept_batch",
+        "_mset_items", "_mset_remaining", "_mset_noreply",
     )
 
-    def __init__(self, accept_batch: bool = True) -> None:
+    def __init__(self) -> None:
         self._buffer = bytearray()
         self._start = 0  # consumed prefix length (compacted on feed)
         self._pending: Optional[StoreCommand] = None
@@ -144,7 +139,6 @@ class RequestParser:
         self._mset_items: Optional[List[StoreCommand]] = None
         self._mset_remaining = 0
         self._mset_noreply = False
-        self.accept_batch = accept_batch
 
     def feed(self, data: bytes) -> None:
         buffer = self._buffer
@@ -246,7 +240,7 @@ class RequestParser:
                 with_cas=verb == b"gets",
                 trace_token=trace_token,
             )
-        if verb == b"mget" and self.accept_batch:
+        if verb == b"mget":
             if len(parts) < 2:
                 raise ProtocolError("mget requires at least one key")
             keys = parts[1:]
@@ -260,7 +254,7 @@ class RequestParser:
                 keys=tuple(_validate_key(k) for k in keys),
                 trace_token=trace_token,
             )
-        if verb == b"mset" and self.accept_batch:
+        if verb == b"mset":
             if len(parts) not in (2, 3):
                 raise ProtocolError("mset <count> [noreply]")
             count = _parse_int(parts[1], "count")
@@ -319,14 +313,14 @@ class RequestParser:
                            "metrics", "trace", "tier", "reset"):
                 raise ProtocolError(f"unknown stats subcommand {sub!r}")
             return StatsCommand(subcommand=sub)
-        if verb == b"digest" and self.accept_batch:
+        if verb == b"digest":
             if len(parts) != 2:
                 raise ProtocolError("digest <nslots>")
             nslots = _parse_int(parts[1], "nslots")
             if nslots < 1 or nslots > MAX_DIGEST_SLOTS:
                 raise ProtocolError(f"nslots out of range: {nslots}")
             return DigestCommand(nslots=nslots)
-        if verb == b"keys" and self.accept_batch:
+        if verb == b"keys":
             if len(parts) != 3:
                 raise ProtocolError("keys <slot> <nslots>")
             slot = _parse_int(parts[1], "slot")

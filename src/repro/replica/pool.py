@@ -162,15 +162,6 @@ class GroupPool:
             if client.breaker is not None
         }
 
-    @property
-    def batch_support(self) -> Dict[str, Optional[bool]]:
-        """Negotiated MGET/MSET support per member: ``None`` until the
-        member's client has probed, then cached ``True``/``False``."""
-        return {
-            name: client.batch_supported
-            for name, client in self._clients.items()
-        }
-
     def group_for(self, key: bytes) -> str:
         group = self._ring.node_for(key)
         assert group is not None
@@ -387,9 +378,8 @@ class GroupPool:
     ) -> MultiGetResult:
         """Concurrent multi-key GET with per-group member failover.
 
-        Each round sends every member one MGET frame with all its keys
-        (the client negotiates per-key GETs against old servers), members
-        concurrently.  Round 1 sends each key to the first member in its
+        Each round sends every member one MGET frame with all its keys,
+        members concurrently.  Round 1 sends each key to the first member in its
         read order; keys on a failed leg go to their next untried member
         until answered or out of members — a group of one gets one round.
 

@@ -97,7 +97,6 @@ class ShardRouter:
         registry=None,
         trace=None,
         tracer=None,
-        batching: str = "mget",
         write_quorum: Optional[int] = None,
         hlc: Optional[HybridLogicalClock] = None,
     ) -> GroupPool:
@@ -109,8 +108,8 @@ class ShardRouter:
         :class:`~repro.resilience.CircuitBreaker` named after the member
         and exporting through ``registry``/``trace``.  A ``tracer`` is
         shared by the pool (the sampler) and every client (hop spans,
-        wire propagation).  ``batching`` is the clients' batch framing;
-        ``write_quorum``/``hlc`` configure replicated groups.
+        wire propagation).  ``write_quorum``/``hlc`` configure replicated
+        groups.
         """
 
         def connect(member: str, host: str, port: int) -> AsyncStoreClient:
@@ -120,7 +119,7 @@ class ShardRouter:
                                          registry=registry, trace=trace)
             return AsyncStoreClient(
                 host, port, pool_size=pool_size, timeout=timeout, retry=retry,
-                rng=rng, breaker=breaker, tracer=tracer, batching=batching,
+                rng=rng, breaker=breaker, tracer=tracer,
             )
 
         return GroupPool(

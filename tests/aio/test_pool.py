@@ -190,15 +190,3 @@ class TestMultiGetErrorAttribution:
                     await pool.multi_get(keys)
 
         run(main())
-
-    def test_batch_support_surfaces_negotiation_state(self):
-        async def main():
-            async with three_node_pool() as (pool, _, __):
-                # unprobed until the first batched call
-                assert set(pool.batch_support.values()) == {None}
-                await pool.multi_set([(b"k%d" % i, b"v", 1) for i in range(9)])
-                support = pool.batch_support
-                assert all(v in (True, None) for v in support.values())
-                assert True in support.values()
-
-        run(main())

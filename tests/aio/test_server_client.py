@@ -9,6 +9,7 @@ from repro.aio import AsyncStoreClient, AsyncTCPStoreServer, RetryPolicy
 from repro.aio.backoff import NO_RETRY
 from repro.core import GDWheelPolicy, LRUPolicy
 from repro.kvstore import KVStore
+from repro.obs import MetricsRegistry
 from repro.protocol import StoreConnection, StoreServer
 
 
@@ -91,6 +92,28 @@ class TestPipelining:
                 # 2 batches on a 1-connection pool = 1 connect, 2 requests
                 assert client.connects == 1
                 assert client.requests == 2
+                await client.aclose()
+
+        run(main())
+
+    def test_batch_calls_reach_the_server_as_one_frame(self):
+        # the server's per-command histograms count frames: N keys in one
+        # call must land as one mget / mset sample and no per-key ones
+        async def main():
+            store = KVStore(
+                memory_limit=4 * 1024 * 1024, slab_size=64 * 1024,
+                policy_factory=GDWheelPolicy, registry=MetricsRegistry(),
+            )
+            async with AsyncTCPStoreServer(store) as server:
+                client = AsyncStoreClient(*server.address)
+                keys = [b"k%d" % i for i in range(16)]
+                assert await client.set_many([(k, b"v", 1) for k in keys]) == 16
+                assert len(await client.get_many(keys + [b"ghost"])) == 16
+                metrics = await client.stats("metrics")
+                assert metrics["cmd_latency_us{cmd=mset}_count"] == "1"
+                assert metrics["cmd_latency_us{cmd=mget}_count"] == "1"
+                assert "cmd_latency_us{cmd=set}_count" not in metrics
+                assert "cmd_latency_us{cmd=get}_count" not in metrics
                 await client.aclose()
 
         run(main())

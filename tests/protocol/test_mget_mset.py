@@ -1,10 +1,11 @@
-"""Batched wire protocol: MGET/MSET framing, dispatch, fallback (PR 8)."""
+"""Batched wire protocol: MGET/MSET framing and dispatch."""
 
 import pytest
 
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore, SimClock
 from repro.kvstore.errors import OutOfMemoryError
+from repro.obs import MetricsRegistry
 from repro.protocol import (
     CostAwareClient,
     LoopbackConnection,
@@ -13,7 +14,6 @@ from repro.protocol import (
 from repro.protocol.binary import (
     MAX_BATCH_ITEMS,
     OP_MGET,
-    OP_MSET,
     BinaryClient,
     BinaryStoreServer,
     STATUS_INVALID_ARGUMENTS,
@@ -54,8 +54,8 @@ def fresh_store(limit=1024 * 1024, slab=64 * 1024):
     )
 
 
-def parse_all(payload: bytes, accept_batch=True):
-    parser = RequestParser(accept_batch=accept_batch)
+def parse_all(payload: bytes):
+    parser = RequestParser()
     parser.feed(payload)
     return list(parser)
 
@@ -236,21 +236,25 @@ class TestTextNegotiation:
     def test_new_client_new_server(self):
         client = CostAwareClient.loopback(StoreServer(fresh_store()))
         assert client.set_many([(b"a", b"1", 2), (b"b", b"2", 3)]) == 2
-        assert client.batch_supported is True
         assert client.get_many([b"a", b"b", b"ghost"]) == {
             b"a": b"1", b"b": b"2",
         }
 
-    def test_new_client_old_server_falls_back(self):
-        # accept_batch=False emulates a pre-PR-8 server: it answers
-        # ``CLIENT_ERROR unknown command`` and closes; the client caches
-        # the refusal and replays per-key
-        server = StoreServer(fresh_store(), accept_batch=False)
-        client = CostAwareClient.loopback(server)
-        assert client.set_many([(b"a", b"1", 2), (b"b", b"2", 3)]) == 2
-        assert client.batch_supported is False
-        assert client.get_many([b"a", b"b"]) == {b"a": b"1", b"b": b"2"}
-        assert client.batch_supported is False
+    def test_batch_calls_reach_the_server_as_one_frame(self):
+        # the server's per-command histograms count frames: N keys in one
+        # call must land as one mget / mset sample and no per-key ones
+        store = fresh_store()
+        client = CostAwareClient.loopback(
+            StoreServer(store, registry=MetricsRegistry())
+        )
+        keys = [b"k%d" % i for i in range(8)]
+        assert client.set_many([(k, b"v", 1) for k in keys]) == len(keys)
+        assert len(client.get_many(keys + [b"ghost"])) == len(keys)
+        metrics = client.stats("metrics")
+        assert metrics["cmd_latency_us{cmd=mset}_count"] == "1"
+        assert metrics["cmd_latency_us{cmd=mget}_count"] == "1"
+        assert "cmd_latency_us{cmd=set}_count" not in metrics
+        assert "cmd_latency_us{cmd=get}_count" not in metrics
 
     def test_old_client_new_server(self):
         # a client that never sends mget still works against a batched
@@ -259,14 +263,6 @@ class TestTextNegotiation:
         assert client.set(b"a", b"1", cost=2)
         response = client._roundtrip(GetCommand(keys=(b"a", b"ghost")))
         assert [(v.key, v.value) for v in response.values] == [(b"a", b"1")]
-
-    def test_old_server_refusal_closes_connection(self):
-        connection = LoopbackConnection(
-            StoreServer(fresh_store(), accept_batch=False)
-        )
-        out = connection.send(b"mget a\r\n")
-        assert out.startswith(b"CLIENT_ERROR unknown command")
-        assert not connection.open
 
 
 class TestBinaryCodecs:
@@ -337,7 +333,6 @@ class TestBinaryDispatch:
             [(b"a", b"1", 2, 0, 0), (b"b", b"2", 3, 0, 5)]
         )
         assert statuses == (STATUS_OK, STATUS_OK)
-        assert client.batch_supported is True
         assert client.get_many([b"a", b"b", b"ghost"]) == {
             b"a": b"1", b"b": b"2",
         }
@@ -361,26 +356,4 @@ class TestBinaryDispatch:
             request(OP_MGET, value=b"\x00\x00\x00\x02\x00\x05ab")
         )
         assert reply.status == STATUS_INVALID_ARGUMENTS
-        assert keep_open is True
-
-    def test_old_server_fallback(self):
-        # accept_batch=False: OP_MGET/OP_MSET answer UNKNOWN_COMMAND and
-        # the connection stays open; the client renegotiates per-key
-        client = BinaryClient(
-            BinaryStoreServer(fresh_store(), accept_batch=False)
-        )
-        statuses = client.set_many([(b"a", b"1", 2, 0, 0)])
-        assert statuses == (STATUS_OK,)
-        assert client.batch_supported is False
-        assert client.get_many([b"a", b"ghost"]) == {b"a": b"1"}
-        assert client.batch_supported is False
-
-    def test_unknown_command_on_mset_too(self):
-        server = BinaryStoreServer(fresh_store(), accept_batch=False)
-        reply, keep_open = server.dispatch(
-            request(OP_MSET, value=pack_mset_value([(b"k", b"v", 0, 0, 0)]))
-        )
-        from repro.protocol.binary import STATUS_UNKNOWN_COMMAND
-
-        assert reply.status == STATUS_UNKNOWN_COMMAND
         assert keep_open is True

@@ -7,7 +7,9 @@ from repro.kvstore import KVStore, SimClock
 from repro.protocol import (
     CostAwareClient,
     LoopbackConnection,
+    ServerBusyError,
     StoreServer,
+    Transport,
 )
 from tests.serving import ServingThread
 
@@ -135,6 +137,42 @@ class TestMalformedInputOverConnection:
         connection = LoopbackConnection(StoreServer(store))
         connection.send(b"quit\r\n")
         assert not connection.open
+
+
+class _SheddingTransport(Transport):
+    """Answers every request ``SERVER_ERROR busy``, as a shedding server does."""
+
+    def __init__(self) -> None:
+        self._pending = b""
+
+    def send(self, data: bytes) -> None:
+        self._pending += b"SERVER_ERROR busy\r\n"
+
+    def recv(self) -> bytes:
+        out, self._pending = self._pending, b""
+        return out
+
+
+class TestBusyClassification:
+    @pytest.mark.parametrize("call", [
+        lambda c: c.get(b"k"),
+        lambda c: c.gets(b"k"),
+        lambda c: c.get_many([b"a", b"b"]),
+        lambda c: c.set(b"k", b"v", cost=3),
+        lambda c: c.add(b"k", b"v"),
+        lambda c: c.set_many([(b"a", b"1", 1)]),
+        lambda c: c.cas(b"k", b"v", cas_unique=1),
+        lambda c: c.incr(b"n"),
+        lambda c: c.decr(b"n"),
+        lambda c: c.digest(16),
+        lambda c: c.key_entries(0, 16),
+        lambda c: c.stats(),
+    ], ids=["get", "gets", "get_many", "set", "add", "set_many", "cas",
+            "incr", "decr", "digest", "key_entries", "stats"])
+    def test_shed_reply_raises_server_busy(self, call):
+        client = CostAwareClient(_SheddingTransport())
+        with pytest.raises(ServerBusyError):
+            call(client)
 
 
 class TestTCP:

@@ -1,12 +1,11 @@
-"""Parser resync + version-skew matrix for the batched wire protocol.
+"""Parser resync + version skew for the batched wire protocol.
 
-Satellite of PR 8: MGET/MSET frames are bigger than any single command
-the proxy used to chop, so the incremental parsers get fresh adversaries
-— chunks split mid-frame (must reassemble exactly) and chunks with the
-tail bytes gone (must error or time out, never silently mis-answer).
-The version-skew matrix runs both directions of the rollout over real
-sockets: a new client against an old server (negotiated per-key
-fallback) and an old client against a new server (untouched GET path).
+MGET/MSET frames are bigger than any single command the proxy used to
+chop, so the incremental parsers get fresh adversaries — chunks split
+mid-frame (must reassemble exactly) and chunks with the tail bytes gone
+(must error or time out, never silently mis-answer).  The version-skew
+check runs an old client's wire shape against a new server over real
+sockets: the plain multi-key GET line and per-key SETs still work.
 """
 
 import asyncio
@@ -17,6 +16,7 @@ from repro.aio import AsyncStoreClient, AsyncTCPStoreServer
 from repro.aio.backoff import NO_RETRY, RetryPolicy
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
+from repro.protocol.commands import STORED, GetCommand, StoreCommand
 from repro.protocol.binary import (
     MAGIC_REQUEST,
     MAGIC_RESPONSE,
@@ -56,7 +56,6 @@ class TestTextResyncUnderChaos:
                     assert await client.set_many(ITEMS) == len(ITEMS)
                     found = await client.get_many(KEYS)
                     assert found == {key: value for key, value, _ in ITEMS}
-                    assert client.batch_supported is True
                     assert proxy.fault_counts["partial_write"] >= 1
                     await client.aclose()
 
@@ -153,51 +152,22 @@ class TestBinaryResync:
 
 
 class TestVersionSkewMatrix:
-    def test_new_client_old_server_over_tcp(self):
-        # old server: refuses mget/mset and closes; the client redials,
-        # replays per-key, and caches the refusal on the pool
-        async def main():
-            async with AsyncTCPStoreServer(
-                fresh_store(), accept_batch=False
-            ) as server:
-                client = AsyncStoreClient(*server.address, retry=NO_RETRY)
-                assert await client.set_many(ITEMS) == len(ITEMS)
-                assert client.batch_supported is False
-                found = await client.get_many(KEYS)
-                assert found == {key: value for key, value, _ in ITEMS}
-                assert client.batch_supported is False
-                await client.aclose()
-
-        run(main())
-
     def test_old_client_new_server_over_tcp(self):
         # old client wire shape: plain multi-key GET + per-key SETs
         async def main():
             async with AsyncTCPStoreServer(fresh_store()) as server:
-                client = AsyncStoreClient(
-                    *server.address, retry=NO_RETRY, batching="get"
+                client = AsyncStoreClient(*server.address, retry=NO_RETRY)
+                stored = await client.execute([
+                    StoreCommand(verb="set", key=key, flags=0, exptime=0,
+                                 value=value, cost=cost)
+                    for key, value, cost in ITEMS
+                ])
+                assert sum(1 for r in stored if r == STORED) == len(ITEMS)
+                (response,) = await client.execute(
+                    [GetCommand(keys=tuple(KEYS))]
                 )
-                assert await client.set_many(ITEMS) == len(ITEMS)
-                found = await client.get_many(KEYS)
+                found = {v.key: v.value for v in response.values}
                 assert found == {key: value for key, value, _ in ITEMS}
                 await client.aclose()
-
-        run(main())
-
-    def test_new_client_old_server_under_partial_writes(self):
-        # version skew and a flaky network at once: the fallback still
-        # converges to correct per-key results
-        async def main():
-            async with AsyncTCPStoreServer(
-                fresh_store(), accept_batch=False
-            ) as server:
-                schedule = FaultSchedule(seed=21).always(partial_write_prob=1.0)
-                async with ChaosProxy(*server.address, schedule) as proxy:
-                    client = AsyncStoreClient(*proxy.address, retry=NO_RETRY)
-                    assert await client.set_many(ITEMS[:8]) == 8
-                    found = await client.get_many(KEYS[:8])
-                    assert found == {k: v for k, v, _ in ITEMS[:8]}
-                    assert client.batch_supported is False
-                    await client.aclose()
 
         run(main())

@@ -14,6 +14,8 @@ from repro.obs import EventTrace
 from repro.protocol import (
     LoopbackConnection,
     ServerBusyError,
+    SimpleResponse,
+    StoreCommand,
     StoreServer,
 )
 from repro.protocol.text import RequestParser
@@ -247,17 +249,19 @@ class TestAsyncShedding:
             async with AsyncTCPStoreServer(store, overload=policy) as server:
                 # per-key frames: an MSET is a single command (one shed
                 # unit), so the per-command tail shedding under test needs
-                # the pipelined per-key wire mode
-                client = AsyncStoreClient(
-                    *server.address, retry=NO_RETRY, batching="none"
-                )
+                # pipelined per-key SETs
+                client = AsyncStoreClient(*server.address, retry=NO_RETRY)
                 # a deep pipelined batch cannot hold the loop past the
                 # deadline: the tail comes back busy, surfaced as
                 # ServerBusyError by _check_stored
+                result = await client.execute([
+                    StoreCommand(verb="set", key=b"k%d" % i, flags=0,
+                                 exptime=0, value=b"v", cost=1)
+                    for i in range(20)
+                ])
+                assert result[-1] == SimpleResponse(b"SERVER_ERROR busy")
                 with pytest.raises(ServerBusyError):
-                    await client.set_many(
-                        [(b"k%d" % i, b"v", 1) for i in range(20)]
-                    )
+                    AsyncStoreClient._check_stored(result[-1])
                 snapshot = server.engine.metrics.snapshot()
                 assert snapshot["server_shed_commands_total{reason=deadline}"] >= 1
                 await client.aclose()
